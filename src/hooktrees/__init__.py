@@ -23,7 +23,6 @@ from .algebra import (
     solve_phi,
 )
 from .hooks import (
-    ForestHookProfile,
     HookProfile,
     compose,
     decompose,
@@ -76,7 +75,6 @@ __all__ = [
     "series_compose_scaled",
     "solve_omega",
     "solve_phi",
-    "ForestHookProfile",
     "HookProfile",
     "compose",
     "decompose",

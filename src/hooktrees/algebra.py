@@ -14,9 +14,9 @@ first-order series equations::
     W' = x*W^(b+1) + a*t*W^b*W'                 (solve_omega / closed_omega)
     F' = x*F^(b+s+1) + (a+s*x)*t*F^(b+s)*F'     (solve_phi / closed_phi)
 
-where the prime is d/dt.  The second one is the fixed point
-F(t) = W(t*F(t)^s) of the first, which ``series_compose_scaled`` can verify
-directly.
+where the prime is d/dt.  The first is the s = 0 case of the second, and
+the second is the fixed point F(t) = W(t*F(t)^s) of the first, which
+``series_compose_scaled`` can verify directly.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -69,6 +69,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # A constant hashes like the scalar it equals, ZERO like 0.
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __add__(self, other) -> "Poly":
@@ -330,9 +333,6 @@ def rhs_binomial_poly(m: int, n: int) -> Poly:
     return prod * Fraction(1, top * math.factorial(n))
 
 
-PRODUCT_FAMILIES = ("thm1_1_eq16", "thm1_2_eq51a")
-
-
 def rhs_product_poly(family: str, m: int, n: int, s: int = 0) -> Poly:
     """Product-of-linear-factors closed forms, one per identity family.
 
@@ -366,16 +366,6 @@ def rhs_product_poly(family: str, m: int, n: int, s: int = 0) -> Poly:
     return prod * Fraction(1, math.factorial(n))
 
 
-def closed_omega(a: int, b: int, n: int) -> Poly:
-    """Coefficient n of the solved series W: (x/n!) * prod_{i=1..n-1} (a*i + b*(n-i)*x + x)."""
-    if n < 1:
-        raise ValueError(f"closed form defined for n >= 1, got {n}")
-    prod = X
-    for i in range(1, n):
-        prod = prod * Poly([a * i, b * (n - i) + 1])
-    return prod * Fraction(1, math.factorial(n))
-
-
 def closed_phi(a: int, b: int, s: int, n: int) -> Poly:
     """Coefficient n of the fixed-point series: (x/n!) * prod_{i=1..n-1} (a*i + b*(n-i)*x + (s*n+1)*x)."""
     if n < 1:
@@ -386,38 +376,14 @@ def closed_phi(a: int, b: int, s: int, n: int) -> Poly:
     return prod * Fraction(1, math.factorial(n))
 
 
-def solve_omega(a: int, b: int, order: int) -> PolySeries:
-    """Solve W' = x*W^(b+1) + a*t*W^b*W' with W = 1 + O(t), coefficient by coefficient.
+def solve_phi(a: int, b: int, s: int, order: int) -> PolySeries:
+    """Solve F' = x*F^(b+s+1) + (a+s*x)*t*F^(b+s)*F' with F = 1 + O(t), coefficient by coefficient.
 
     Matching the coefficient of t^(n-1) gives the linear recurrence
 
-        n*W_n = x*[t^(n-1)] W^(b+1) + a*sum_{j<=n-2} ([t^j] W^b) * (n-1-j) * W_(n-1-j)
+        n*F_n = x*[t^(n-1)] F^(b+s+1) + (a+s*x)*sum_{j<=n-2} ([t^j] F^(b+s)) * (n-1-j) * F_(n-1-j)
 
-    whose right side only involves W_0 .. W_(n-1).
-    """
-    if a < 1 or b < 1:
-        raise ValueError(f"need positive integers a, b; got a={a}, b={b}")
-    if order < 0:
-        raise ValueError(f"need order >= 0, got {order}")
-    coeffs: list[Poly] = [ONE]
-    for n in range(1, order + 1):
-        partial = PolySeries(coeffs, order=n - 1)
-        pow_b = partial**b
-        pow_b1 = pow_b * partial
-        rhs = X * pow_b1.coeffs[n - 1]
-        acc = ZERO
-        for j in range(n - 1):
-            acc = acc + pow_b.coeffs[j] * ((n - 1 - j) * coeffs[n - 1 - j])
-        rhs = rhs + a * acc
-        coeffs.append(rhs * Fraction(1, n))
-    return PolySeries(coeffs, order=order)
-
-
-def solve_phi(a: int, b: int, s: int, order: int) -> PolySeries:
-    """Solve F' = x*F^(b+s+1) + (a+s*x)*t*F^(b+s)*F' with F = 1 + O(t).
-
-    Same recurrence shape as ``solve_omega`` with exponent b+s and the
-    polynomial multiplier a + s*x; s = 0 degenerates to ``solve_omega``.
+    whose right side only involves F_0 .. F_(n-1).
     """
     if a < 1 or b < 1 or s < 0:
         raise ValueError(f"need a, b >= 1 and s >= 0; got a={a}, b={b}, s={s}")
@@ -436,3 +402,13 @@ def solve_phi(a: int, b: int, s: int, order: int) -> PolySeries:
         rhs = rhs + mult * acc
         coeffs.append(rhs * Fraction(1, n))
     return PolySeries(coeffs, order=order)
+
+
+def closed_omega(a: int, b: int, n: int) -> Poly:
+    """Coefficient n of the solved series W: ``closed_phi`` with s = 0."""
+    return closed_phi(a, b, 0, n)
+
+
+def solve_omega(a: int, b: int, order: int) -> PolySeries:
+    """Solve W' = x*W^(b+1) + a*t*W^b*W' with W = 1 + O(t): ``solve_phi`` with s = 0."""
+    return solve_phi(a, b, 0, order)

@@ -26,10 +26,9 @@ from .algebra import Poly, closed_omega, closed_phi, solve_omega, solve_phi
 from .hooks import hook_profile
 from .identities import (
     FAMILIES,
+    FAMILY_TABLE,
     IdentitySpec,
     VerificationReport,
-    _TAKES_S,
-    _NO_M,
     all_position_subsets,
     verify_suite,
 )
@@ -250,7 +249,8 @@ def _cmd_hooks(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     family = args.family
-    if family in _NO_M:
+    row = FAMILY_TABLE[family]
+    if row.min_m is None:
         if args.m is not None:
             parser.error(f"--m is not accepted by family {family}")
     elif args.m is None:
@@ -262,7 +262,7 @@ def _cmd_verify(args, parser) -> int:
 
     subsets: list[frozenset[int] | None] = [None]
     if args.S is not None:
-        if family not in _TAKES_S:
+        if row.S == "none":
             parser.error(f"--S is not accepted by family {family}")
         if args.S == "all":
             subsets = list(all_position_subsets(args.m))
@@ -272,11 +272,10 @@ def _cmd_verify(args, parser) -> int:
             except argparse.ArgumentTypeError as exc:
                 parser.error(str(exc))
 
-    n_min = 1 if family == "postnikov" else 0
     grid = [
         IdentitySpec(family, m=args.m, n=n, S=subset)
         for subset in subsets
-        for n in range(n_min, args.n_max + 1)
+        for n in range(row.min_n, args.n_max + 1)
     ]
     result = verify_suite(grid, jobs=args.jobs)
     sys.stdout.write(render_reports(result.reports, args.format, timing=args.timing))

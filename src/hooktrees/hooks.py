@@ -139,9 +139,6 @@ def forest_hooks(forest: PlaneForest) -> dict[int, int]:
     return out
 
 
-ForestHookProfile = dict[int, int]
-
-
 @dataclass(frozen=True)
 class HookProfile:
     """All hook statistics of one tree, keyed by preorder vertex index.

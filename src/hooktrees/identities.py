@@ -1,9 +1,13 @@
 """Exhaustive exact verification of the hook-length identities.
 
-Every identity family pairs a left-hand side, obtained by summing a
-per-tree (or per-forest) product of linear factors in x over an
-exhaustively enumerated universe, with an independently built closed-form
-right-hand side; a check compares the two values exactly.  The families:
+Every identity family sums, over one exhaustively enumerated universe of
+trees (or plane forests), a per-vertex product of linear factors in one
+hook statistic, and compares the sum exactly with an independently built
+closed form.  Each family is therefore one row of ``FAMILY_TABLE``: the
+universe, the hook kind, the factor, the closed form with an optional
+cross-check, and the parameters the family takes.  Validation, summation
+and the command line all read the row; adding a family means adding a row.
+The families:
 
 ====================  =========================================================
 postnikov             (n!/2^n) * sum prod (1 + 1/h_v) = (n+1)^(n-1), numeric,
@@ -51,10 +55,11 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from time import perf_counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import (
     ONE,
@@ -68,37 +73,105 @@ from .algebra import (
 from .hooks import first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks
 from .trees import count_trees, enumerate_forests, enumerate_trees
 
-FAMILIES = (
-    "postnikov",
-    "lascoux_1_1",
-    "duliu_1_2a",
-    "duliu_1_2b",
-    "forest_1_3a",
-    "forest_1_3b",
-    "thm1_1_eq1_6",
-    "thm1_1_eq1_7",
-    "thm1_2_eq5_1a",
-    "thm1_2_eq5_1b",
-    "cor1_first",
-    "cor1_second",
-    "cor2_first",
-    "cor2_second",
-    "cor2_third",
-)
 
-# Families grouped by the parameters they take.
-_NO_M = {"postnikov", "lascoux_1_1", "forest_1_3a", "forest_1_3b"}
-_M_GE_2 = {"thm1_1_eq1_6", "thm1_1_eq1_7", "cor1_first", "cor1_second"}
-_M_GE_1 = {
-    "duliu_1_2a",
-    "duliu_1_2b",
-    "thm1_2_eq5_1a",
-    "thm1_2_eq5_1b",
-    "cor2_first",
-    "cor2_second",
-    "cor2_third",
+class Family(NamedTuple):
+    """One identity family as data.
+
+    ``arity`` maps m to the arity of the tree universe (``None``: plane
+    forests).  ``hooks`` names the hook statistic: "standard", "first",
+    "second" or "forest".  ``factor(m, s, h)`` is the per-vertex factor at
+    hook value h, ``(c1, c0, d)`` for (c1*x + c0)/d in a polynomial family
+    and ``(c0, d)`` for c0/d in a numeric one.  ``rhs(m, n, s)`` is the
+    closed form and ``cross(m, n, s)``, if given, an independent route to
+    the same value.  ``min_m`` is ``None`` for families without m.  ``S``
+    is "none", "subset" (any subset of [m], empty by default) or "full"
+    (exactly [m]).  ``scale(n)`` multiplies the summed left side.
+    """
+
+    arity: Callable[[int], int] | None
+    hooks: str
+    factor: Callable[[int, int, int], tuple]
+    rhs: Callable[[int, int, int], Poly | Fraction]
+    cross: Callable[[int, int, int], Poly | Fraction] | None = None
+    min_m: int | None = None
+    min_n: int = 0
+    S: str = "none"
+    scale: Callable[[int], Fraction] | None = None
+
+
+# The closed forms name ``rhs_binomial_poly`` and ``rhs_product_poly`` in the
+# function bodies, so they resolve through this module's globals on each call.
+FAMILY_TABLE: dict[str, Family] = {
+    "postnikov": Family(
+        lambda m: 2, "standard", lambda m, s, h: (h + 1, h),
+        lambda m, n, s: Fraction((n + 1) ** (n - 1)),
+        min_n=1, scale=lambda n: Fraction(math.factorial(n), 2**n),
+    ),
+    "lascoux_1_1": Family(
+        lambda m: 2, "standard", lambda m, s, h: (h + 1, 1 - h, 2 * h),
+        lambda m, n, s: rhs_binomial_poly(1, n),
+    ),
+    "duliu_1_2a": Family(
+        lambda m: m + 1, "standard", lambda m, s, h: (m * h + 1, 1 - h, (m + 1) * h),
+        lambda m, n, s: rhs_binomial_poly(m, n), min_m=1,
+    ),
+    "duliu_1_2b": Family(
+        lambda m: m + 1, "standard", lambda m, s, h: (h, 1, h),
+        lambda m, n, s: rhs_product_poly("thm1_2_eq51a", m, n, 0), min_m=1,
+    ),
+    "forest_1_3a": Family(
+        None, "forest", lambda m, s, h: (h, 1, h),
+        lambda m, n, s: rhs_product_poly("thm1_1_eq16", 2, n),
+    ),
+    "forest_1_3b": Family(
+        None, "forest", lambda m, s, h: (2 * h - 1, 1 - h, h),
+        lambda m, n, s: rhs_binomial_poly(2, n),
+    ),
+    "thm1_1_eq1_6": Family(
+        lambda m: m, "first", lambda m, s, h: (h, 1, h),
+        lambda m, n, s: rhs_product_poly("thm1_1_eq16", m, n), min_m=2,
+    ),
+    "thm1_1_eq1_7": Family(
+        lambda m: m, "first", lambda m, s, h: (m * h - 1, 1 - h, (m - 1) * h),
+        lambda m, n, s: rhs_binomial_poly(m, n), min_m=2,
+    ),
+    "thm1_2_eq5_1a": Family(
+        lambda m: m + 1, "second", lambda m, s, h: (h, 1, h),
+        lambda m, n, s: rhs_product_poly("thm1_2_eq51a", m, n, s), min_m=1, S="subset",
+    ),
+    "thm1_2_eq5_1b": Family(
+        lambda m: m + 1, "second", lambda m, s, h: ((m - s) * h + 1, 1 - h, (m - s + 1) * h),
+        lambda m, n, s: rhs_binomial_poly(m, n), min_m=1, S="subset",
+    ),
+    "cor1_first": Family(
+        lambda m: m, "first", lambda m, s, h: (1, h),
+        lambda m, n, s: m**n * rhs_binomial_poly(m, n)(Fraction(1, m)),
+        cross=lambda m, n, s: rhs_product_poly("thm1_1_eq16", m, n)(0), min_m=2,
+    ),
+    "cor1_second": Family(
+        lambda m: m, "first", lambda m, s, h: (m * h - 1, h),
+        lambda m, n, s: Fraction((m - 1) ** n, math.factorial(n)) * Fraction(m * n + 1) ** (n - 1),
+        cross=lambda m, n, s: (-1) ** n * rhs_product_poly("thm1_1_eq16", m, n)(-m), min_m=2,
+    ),
+    "cor2_first": Family(
+        lambda m: m + 1, "second", lambda m, s, h: ((m - s - 1) * h + 1, h),
+        lambda m, n, s: rhs_binomial_poly(m, n)(m - s),
+        cross=lambda m, n, s: rhs_product_poly("thm1_2_eq51a", m, n, s)(m - s - 1),
+        min_m=1, S="subset",
+    ),
+    "cor2_second": Family(
+        lambda m: m + 1, "second", lambda m, s, h: ((m - s) * h + 1, h),
+        lambda m, n, s: Fraction((m - s + 1) ** n, math.factorial(n)) * Fraction(m * n + 1) ** (n - 1),
+        cross=lambda m, n, s: rhs_product_poly("thm1_2_eq51a", m, n, s)(m - s),
+        min_m=1, S="subset",
+    ),
+    "cor2_third": Family(
+        lambda m: m + 1, "second", lambda m, s, h: (1, 1 - h, h),
+        lambda m, n, s: rhs_binomial_poly(m, n), min_m=1, S="full",
+    ),
 }
-_TAKES_S = {"thm1_2_eq5_1a", "thm1_2_eq5_1b", "cor2_first", "cor2_second", "cor2_third"}
+
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -139,32 +212,34 @@ class VerificationReport:
     note: str | None = None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validated(spec: IdentitySpec) -> IdentitySpec:
-    """Check parameter ranges and fill in the normalized S for a family."""
+    """Check parameter types and ranges against the family's row; fill in S."""
     f = spec.family
-    if f not in FAMILIES:
+    row = FAMILY_TABLE.get(f) if isinstance(f, str) else None
+    if row is None:
         raise ValueError(f"unknown identity family {f!r}")
-    min_n = 1 if f == "postnikov" else 0
-    if spec.n < min_n:
-        raise ValueError(f"{f} needs n >= {min_n}, got {spec.n}")
-    if f in _NO_M:
+    if not _is_int(spec.n) or spec.n < row.min_n:
+        raise ValueError(f"{f} needs n >= {row.min_n}, got {spec.n!r}")
+    if row.min_m is None:
         if spec.m is not None:
             raise ValueError(f"{f} does not take an m parameter")
-    elif f in _M_GE_2:
-        if spec.m is None or spec.m < 2:
-            raise ValueError(f"{f} needs m >= 2, got {spec.m}")
-    else:
-        if spec.m is None or spec.m < 1:
-            raise ValueError(f"{f} needs m >= 1, got {spec.m}")
-    if f not in _TAKES_S:
+    elif not _is_int(spec.m) or spec.m < row.min_m:
+        raise ValueError(f"{f} needs m >= {row.min_m}, got {spec.m!r}")
+    if row.S == "none":
         if spec.S is not None:
             raise ValueError(f"{f} does not take an S parameter")
         return spec
+    if not all(_is_int(p) for p in spec.S or ()):
+        raise ValueError(f"{f} needs integer positions in S, got {sorted(spec.S, key=repr)}")
     full = frozenset(range(1, spec.m + 1))
-    if f == "cor2_third":
+    if row.S == "full":
         s_set = full if spec.S is None else spec.S
         if s_set != full:
-            raise ValueError(f"cor2_third requires S = [m], got {sorted(s_set)}")
+            raise ValueError(f"{f} requires S = [m], got {sorted(s_set)}")
     else:
         s_set = frozenset() if spec.S is None else spec.S
         if not s_set <= full:
@@ -228,71 +303,50 @@ def _numeric_sum(universe, values_of, table) -> tuple[Fraction, int]:
     return total, visited
 
 
-def _hook_values(kind: str, S: frozenset[int] | None = None) -> Callable:
-    if kind == "standard":
+def _hook_values(kind: str, S: frozenset[int] | None) -> Callable:
+    if kind == "standard" or (kind == "second" and not S):
         return lambda t: standard_hooks(t).values()
     if kind == "first":
         return lambda t: first_kind_hooks(t).values()
     if kind == "second":
-        if not S:
-            return lambda t: standard_hooks(t).values()
-        return lambda t, _s=S: second_kind_hooks(t, _s).values()
-    if kind == "forest":
-        return lambda f: forest_hooks(f).values()
-    raise ValueError(kind)
+        return lambda t: second_kind_hooks(t, S).values()
+    return lambda f: forest_hooks(f).values()
 
 
-def _table(n: int, triple: Callable[[int], tuple]) -> list:
-    return [None] + [triple(h) for h in range(1, n + 1)]
+def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[Poly | Fraction, int]:
+    """The enumerated left side of ``family`` and the number of items summed.
 
-
-def _lhs_thm1_1(m: int, n: int, form: str) -> tuple[Poly, int]:
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if form == "eq1_6":
-        table = _table(n, lambda h: (h, 1, h))
-    elif form == "eq1_7":
-        table = _table(n, lambda h: (m * h - 1, 1 - h, (m - 1) * h))
+    Performs no validation: callers check m, n and S first.
+    """
+    row = FAMILY_TABLE[family]
+    s = len(S or ())
+    universe = enumerate_forests(n) if row.arity is None else enumerate_trees(row.arity(m), n)
+    # Hooks are >= 1, so entry 0 is never read; its length tells numeric
+    # (c0, d) factors from polynomial (c1, c0, d) ones.
+    table = [row.factor(m, s, h) for h in range(n + 1)]
+    if len(table[0]) == 2:
+        total, visited = _numeric_sum(universe, _hook_values(row.hooks, S), table)
     else:
+        total, visited = _poly_sum(universe, _hook_values(row.hooks, S), table, n)
+    if row.scale is not None:
+        total = row.scale(n) * total
+    return total, visited
+
+
+def _form_family(form: str, **families: str) -> str:
+    if form not in families:
         raise ValueError(f"unknown form {form!r}")
-    return _poly_sum(enumerate_trees(m, n), _hook_values("first"), table, n)
-
-
-def _lhs_thm1_2(m: int, S: Iterable[int], n: int, form: str) -> tuple[Poly, int]:
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    s_set = frozenset(S)
-    if not s_set <= frozenset(range(1, m + 1)):
-        raise ValueError(f"S = {sorted(s_set)} is not a subset of [1..{m}]")
-    s = len(s_set)
-    if form == "eq5_1a":
-        table = _table(n, lambda h: (h, 1, h))
-    elif form == "eq5_1b":
-        table = _table(n, lambda h: ((m - s) * h + 1, 1 - h, (m - s + 1) * h))
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return _poly_sum(enumerate_trees(m + 1, n), _hook_values("second", s_set), table, n)
-
-
-def _lhs_forests(n: int, form: str) -> tuple[Poly, int]:
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if form == "eq1_3a":
-        table = _table(n, lambda h: (h, 1, h))
-    elif form == "eq1_3b":
-        table = _table(n, lambda h: (2 * h - 1, 1 - h, h))
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return _poly_sum(enumerate_forests(n), _hook_values("forest"), table, n)
+    return families[form]
 
 
 def lhs_thm1_1(m: int, n: int, form: str) -> Poly:
     """Enumerated left side of the first-kind identities ("eq1_6" or "eq1_7")."""
-    return _lhs_thm1_1(m, n, form)[0]
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    family = _form_family(form, eq1_6="thm1_1_eq1_6", eq1_7="thm1_1_eq1_7")
+    return _lhs(family, m, n, None)[0]
 
 
 def lhs_thm1_2(m: int, S: Iterable[int], n: int, form: str) -> Poly:
@@ -301,89 +355,32 @@ def lhs_thm1_2(m: int, S: Iterable[int], n: int, form: str) -> Poly:
     Sums over complete (m+1)-ary trees; m = 0 (unary paths) is supported
     for use as the inner series of the composition check.
     """
-    return _lhs_thm1_2(m, S, n, form)[0]
+    if m < 0:
+        raise ValueError(f"need m >= 0, got {m}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    s_set = frozenset(S)
+    if not s_set <= frozenset(range(1, m + 1)):
+        raise ValueError(f"S = {sorted(s_set)} is not a subset of [1..{m}]")
+    family = _form_family(form, eq5_1a="thm1_2_eq5_1a", eq5_1b="thm1_2_eq5_1b")
+    return _lhs(family, m, n, s_set)[0]
 
 
 def lhs_forests(n: int, form: str) -> Poly:
     """Enumerated left side of the plane-forest identities ("eq1_3a" or "eq1_3b")."""
-    return _lhs_forests(n, form)[0]
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    family = _form_family(form, eq1_3a="forest_1_3a", eq1_3b="forest_1_3b")
+    return _lhs(family, None, n, None)[0]
 
 
 def _evaluate(spec: IdentitySpec) -> tuple[Poly | Fraction, Poly | Fraction, int, bool]:
     """Build (lhs, rhs, trees_visited, cross_ok) for a validated spec."""
-    f, m, n, S = spec.family, spec.m, spec.n, spec.S
-    cross_ok = True
-
-    if f == "postnikov":
-        table = _table(n, lambda h: (h + 1, h))
-        total, visited = _numeric_sum(enumerate_trees(2, n), _hook_values("standard"), table)
-        lhs = Fraction(math.factorial(n), 2**n) * total
-        rhs: Poly | Fraction = Fraction((n + 1) ** (n - 1))
-    elif f == "lascoux_1_1":
-        table = _table(n, lambda h: (h + 1, 1 - h, 2 * h))
-        lhs, visited = _poly_sum(enumerate_trees(2, n), _hook_values("standard"), table, n)
-        rhs = rhs_binomial_poly(1, n)
-    elif f == "duliu_1_2a":
-        table = _table(n, lambda h: (m * h + 1, 1 - h, (m + 1) * h))
-        lhs, visited = _poly_sum(enumerate_trees(m + 1, n), _hook_values("standard"), table, n)
-        rhs = rhs_binomial_poly(m, n)
-    elif f == "duliu_1_2b":
-        table = _table(n, lambda h: (h, 1, h))
-        lhs, visited = _poly_sum(enumerate_trees(m + 1, n), _hook_values("standard"), table, n)
-        rhs = rhs_product_poly("thm1_2_eq51a", m, n, 0)
-    elif f == "forest_1_3a":
-        lhs, visited = _lhs_forests(n, "eq1_3a")
-        rhs = rhs_product_poly("thm1_1_eq16", 2, n)
-    elif f == "forest_1_3b":
-        lhs, visited = _lhs_forests(n, "eq1_3b")
-        rhs = rhs_binomial_poly(2, n)
-    elif f == "thm1_1_eq1_6":
-        lhs, visited = _lhs_thm1_1(m, n, "eq1_6")
-        rhs = rhs_product_poly("thm1_1_eq16", m, n)
-    elif f == "thm1_1_eq1_7":
-        lhs, visited = _lhs_thm1_1(m, n, "eq1_7")
-        rhs = rhs_binomial_poly(m, n)
-    elif f == "thm1_2_eq5_1a":
-        lhs, visited = _lhs_thm1_2(m, S, n, "eq5_1a")
-        rhs = rhs_product_poly("thm1_2_eq51a", m, n, len(S))
-    elif f == "thm1_2_eq5_1b":
-        lhs, visited = _lhs_thm1_2(m, S, n, "eq5_1b")
-        rhs = rhs_binomial_poly(m, n)
-    elif f == "cor1_first":
-        table = _table(n, lambda h: (1, h))
-        lhs, visited = _numeric_sum(enumerate_trees(m, n), _hook_values("first"), table)
-        rhs = m**n * rhs_binomial_poly(m, n)(Fraction(1, m))
-        cross_ok = rhs == rhs_product_poly("thm1_1_eq16", m, n)(0)
-    elif f == "cor1_second":
-        table = _table(n, lambda h: (m * h - 1, h))
-        lhs, visited = _numeric_sum(enumerate_trees(m, n), _hook_values("first"), table)
-        rhs = Fraction((m - 1) ** n, math.factorial(n)) * Fraction(m * n + 1) ** (n - 1)
-        cross_ok = rhs == (-1) ** n * rhs_product_poly("thm1_1_eq16", m, n)(-m)
-    elif f == "cor2_first":
-        s = len(S)
-        table = _table(n, lambda h: ((m - s - 1) * h + 1, h))
-        lhs, visited = _numeric_sum(
-            enumerate_trees(m + 1, n), _hook_values("second", S), table
-        )
-        rhs = rhs_binomial_poly(m, n)(m - s)
-        cross_ok = rhs == rhs_product_poly("thm1_2_eq51a", m, n, s)(m - s - 1)
-    elif f == "cor2_second":
-        s = len(S)
-        table = _table(n, lambda h: ((m - s) * h + 1, h))
-        lhs, visited = _numeric_sum(
-            enumerate_trees(m + 1, n), _hook_values("second", S), table
-        )
-        rhs = Fraction((m - s + 1) ** n, math.factorial(n)) * Fraction(m * n + 1) ** (n - 1)
-        cross_ok = rhs == rhs_product_poly("thm1_2_eq51a", m, n, s)(m - s)
-    elif f == "cor2_third":
-        table = _table(n, lambda h: (1, 1 - h, h))
-        lhs, visited = _poly_sum(
-            enumerate_trees(m + 1, n), _hook_values("second", S), table, n
-        )
-        rhs = rhs_binomial_poly(m, n)
-    else:  # pragma: no cover - guarded by _validated
-        raise ValueError(f)
-
+    row = FAMILY_TABLE[spec.family]
+    m, n, s = spec.m, spec.n, len(spec.S or ())
+    lhs, visited = _lhs(spec.family, m, n, spec.S)
+    rhs = row.rhs(m, n, s)
+    cross_ok = row.cross is None or rhs == row.cross(m, n, s)
     return lhs, rhs, visited, cross_ok
 
 
@@ -405,11 +402,8 @@ def check_identity(spec: IdentitySpec, *, _corrupt_rhs: bool = False) -> Verific
 
 def check_postnikov_lascoux(n: int, form: str) -> VerificationReport:
     """Check the two binary-tree precursors: "postnikov" (numeric) or "eq1_1"."""
-    if form == "postnikov":
-        return check_identity(IdentitySpec("postnikov", n=n))
-    if form == "eq1_1":
-        return check_identity(IdentitySpec("lascoux_1_1", n=n))
-    raise ValueError(f"unknown form {form!r}")
+    family = _form_family(form, postnikov="postnikov", eq1_1="lascoux_1_1")
+    return check_identity(IdentitySpec(family, n=n))
 
 
 def check_recurrence_thm1_1(m: int, n: int) -> VerificationReport:
@@ -440,7 +434,7 @@ def check_recurrence_thm1_1(m: int, n: int) -> VerificationReport:
             )
             acc = acc + root * conv.coeffs[j] * memo[k - 1 - j]
         memo.append(acc)
-    direct, visited = _lhs_thm1_1(m, n, "eq1_7")
+    direct, visited = _lhs("thm1_1_eq1_7", m, n, None)
     spec = IdentitySpec("recurrence_thm1_1", m=m, n=n)
     passed = direct == memo[n]
     return VerificationReport(spec, direct, memo[n], passed, visited, perf_counter() - start)
@@ -471,10 +465,10 @@ def check_gf_relations(m: int, s: int, order: int) -> VerificationReport:
     a_coeffs = []
     d_coeffs = []
     for k in range(order + 1):
-        poly, seen = _lhs_thm1_2(m, s_rep, k, "eq5_1a")
+        poly, seen = _lhs("thm1_2_eq5_1a", m, k, s_rep)
         a_coeffs.append(poly)
         visited += seen
-        poly, seen = _lhs_thm1_2(m - s, frozenset(), k, "eq5_1a")
+        poly, seen = _lhs("thm1_2_eq5_1a", m - s, k, frozenset())
         d_coeffs.append(poly)
         visited += seen
     series_a = PolySeries(a_coeffs, order=order)
@@ -539,15 +533,17 @@ def verify_suite(
 ) -> SuiteResult:
     """Run ``check_identity`` over a grid, optionally across processes.
 
-    Results are deterministic and independent of the worker count: exact
+    The pool never has more workers than ``jobs``, the CPU count or the
+    number of specs.  Results are deterministic and independent of the worker count: exact
     arithmetic makes the reductions order-free and reports come back in
     grid order.  A spec with invalid parameters yields a failed report
     carrying the error text instead of aborting the run.
     """
     specs = [(spec, _corrupt_rhs) for spec in grid]
     start = perf_counter()
-    if jobs > 1 and len(specs) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(specs))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             reports = pool.map(_run_one, specs)
     else:
         reports = [_run_one(item) for item in specs]

@@ -40,6 +40,17 @@ def test_poly_is_immutable_and_hashable():
     assert hash(Poly([1, 2])) == hash(p)
 
 
+@given(st.one_of(st.integers(), st.fractions()))
+def test_constant_poly_equals_and_hashes_like_its_scalar(c):
+    assert Poly([c]) == c
+    assert hash(Poly([c])) == hash(c)
+    assert len({Poly([c]), c}) == 1
+
+
+def test_zero_poly_hashes_like_zero():
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+
+
 def test_poly_mul_difference_of_squares():
     assert Poly([1, 1]) * Poly([-1, 1]) == Poly([-1, 0, 1])
 

@@ -1,5 +1,6 @@
 """Command line behavior: flags, formats, exit codes, schema conformance."""
 
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,8 @@ import json
 import jsonschema
 import pytest
 
-from hooktrees.cli import REPORT_SCHEMA, main
+from hooktrees.cli import REPORT_SCHEMA, _build_parser, main
+from hooktrees.identities import FAMILIES
 
 
 def run(capsys, *argv):
@@ -194,3 +196,14 @@ def test_series_rejects_bad_usage(capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+def test_verify_family_choices_are_the_family_table():
+    commands = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    family = next(
+        action for action in commands.choices["verify"]._actions if action.dest == "family"
+    )
+    assert tuple(family.choices) == FAMILIES

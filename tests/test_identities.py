@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from hooktrees import identities
 from hooktrees.algebra import ONE, Poly, X, rhs_binomial_poly, rhs_product_poly
 from hooktrees.identities import (
     FAMILIES,
+    FAMILY_TABLE,
     IdentitySpec,
     all_position_subsets,
     check_gf_relations,
@@ -154,6 +156,25 @@ def test_spec_validation_errors():
             check_identity(spec)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_row_drives_validation(family):
+    row = FAMILY_TABLE[family]
+    n = max(row.min_n, 2)
+    if row.min_m is None:
+        assert check_identity(IdentitySpec(family, n=n)).passed
+        with pytest.raises(ValueError):
+            check_identity(IdentitySpec(family, m=2, n=n))
+    else:
+        assert check_identity(IdentitySpec(family, m=row.min_m, n=n)).passed
+        with pytest.raises(ValueError):
+            check_identity(IdentitySpec(family, m=row.min_m - 1, n=n))
+    if row.S == "none":
+        with pytest.raises(ValueError):
+            check_identity(IdentitySpec(family, m=row.min_m, n=n, S={1}))
+    control = verify_suite([IdentitySpec(family, m=row.min_m, n=3)], _corrupt_rhs=True)
+    assert control.failed == 1
+
+
 def test_identity_spec_normalizes_s():
     spec = IdentitySpec("thm1_2_eq5_1a", m=2, n=1, S=[2, 1])
     assert spec.S == frozenset({1, 2})
@@ -216,6 +237,46 @@ def test_verify_suite_surfaces_invalid_specs():
     assert result.reports[0].passed
     assert not result.reports[1].passed
     assert result.reports[1].note
+
+
+def test_verify_suite_turns_malformed_specs_into_failed_reports():
+    good = IdentitySpec("duliu_1_2a", m=2, n=3)
+    bad = [
+        IdentitySpec("duliu_1_2a", m="2", n=3),
+        IdentitySpec("duliu_1_2a", m=True, n=3),
+        IdentitySpec("duliu_1_2a", m=2, n=3.0),
+        IdentitySpec("thm1_2_eq5_1a", m=2, n=3, S={"1", 2}),
+        IdentitySpec(["duliu_1_2a"], m=2, n=3),
+    ]
+    result = verify_suite([good, *bad, good])
+    assert [r.passed for r in result.reports] == [True] + [False] * len(bad) + [True]
+    assert all(r.note for r in result.reports[1:-1])
+
+
+def test_verify_suite_caps_the_worker_pool(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(identities.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: 4)
+    grid = [IdentitySpec("thm1_1_eq1_7", m=2, n=n) for n in range(3)]
+    assert verify_suite(grid, jobs=10_000).all_passed
+    assert verify_suite(grid * 3, jobs=10_000).all_passed
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: None)
+    assert verify_suite(grid, jobs=10_000).all_passed
+    assert sizes == [3, 4]
 
 
 def test_verify_suite_parallel_matches_serial():
