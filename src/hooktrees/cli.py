@@ -10,7 +10,8 @@ for wall-clock numbers in the ``elapsed_ms`` field.
 Polynomials print as exact rational coefficient lists, lowest degree
 first, in json and csv, and human-readable like ``(5/2)x^2 - (1/2)x`` in
 text mode.  Position sets are comma-separated 1-based positions; the
-``verify --S all`` form expands to every subset of [1..m].
+``verify --S all`` form expands to every subset of [1..m], or to [1..m]
+alone for a family that only takes the full set.
 """
 
 from __future__ import annotations
@@ -213,6 +214,10 @@ def _cmd_hooks(args, parser) -> int:
         profile = hook_profile(tree, subsets)
     except ValueError as exc:
         parser.error(str(exc))
+    except RecursionError:
+        print(f"error: tree too deep for the hook walks ({len(args.code)} code characters)",
+              file=sys.stderr)
+        return 2
     s_key = subsets[0] if subsets else None
     rows = []
     for idx in sorted(profile.h):
@@ -264,7 +269,9 @@ def _cmd_verify(args, parser) -> int:
     if args.S is not None:
         if row.S == "none":
             parser.error(f"--S is not accepted by family {family}")
-        if args.S == "all":
+        if args.S == "all" and row.S == "full":
+            subsets = [frozenset(range(1, args.m + 1))]
+        elif args.S == "all":
             subsets = list(all_position_subsets(args.m))
         else:
             try:

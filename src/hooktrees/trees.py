@@ -7,16 +7,19 @@ ordered tuple of plane trees.  Sharing the one node vocabulary keeps the
 forest <-> binary-tree bijection (``psi`` / ``psi_inverse``) a four-line
 recursion.
 
-Enumeration is streaming: memory stays proportional to the tree depth,
-never to the (Fuss-Catalan sized) stream length.  The order is canonical
-and documented on ``enumerate_trees`` so streams are reproducible and can
-be chunked for parallel consumption.
+Enumeration is streaming: memory stays proportional to the tree depth
+plus the lists of all subtrees of each size that has at most
+``_SUBTREE_LIST_CAP`` of them, built afresh by every call, never to the
+(Fuss-Catalan sized) stream length.  The order is canonical and documented
+on ``enumerate_trees`` so streams are reproducible and can be chunked for
+parallel consumption.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 Node = tuple
@@ -157,16 +160,31 @@ def enumerate_trees(arity: int, internal: int) -> Iterator[MAryTree]:
     """
     if arity < 1 or internal < 0:
         raise ValueError(f"need arity >= 1 and internal >= 0, got {arity}, {internal}")
-    for root in _nodes(arity, internal):
+    small = _subtree_lists(arity, internal)
+    for root in _nodes(arity, internal, small):
         yield MAryTree(arity, root)
 
 
-def _nodes(m: int, n: int) -> Iterator[Node]:
-    if n == 0:
-        yield LEAF
+# Subtrees of every size k whose count_trees(arity, k) is at most this many
+# are listed once per enumeration, so that any root composition made only of
+# such sizes is a plain ``itertools.product`` of lists.
+_SUBTREE_LIST_CAP = 2**14
+
+
+def _subtree_lists(m: int, n: int) -> list[list[Node]]:
+    """All subtrees of sizes 0..k in canonical order, for the largest k < n within the cap."""
+    small: list[list[Node]] = [[LEAF]]
+    while len(small) < n and count_trees(m, len(small)) <= _SUBTREE_LIST_CAP:
+        small.append(list(_nodes(m, len(small), small)))
+    return small
+
+
+def _nodes(m: int, n: int, small: list[list[Node]]) -> Iterator[Node]:
+    if n < len(small):
+        yield from small[n]
         return
     for comp in _compositions(n - 1, m):
-        yield from _children(m, comp, 0)
+        yield from _children(m, comp, 0, small)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -178,12 +196,13 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def _children(m: int, comp: tuple[int, ...], start: int) -> Iterator[Node]:
-    if start == len(comp):
-        yield ()
+def _children(m: int, comp: tuple[int, ...], start: int, small: list[list[Node]]) -> Iterator[Node]:
+    # ``product`` runs leftmost slowest, the order of the streaming recursion.
+    if max(comp[start:], default=0) < len(small):
+        yield from product(*(small[c] for c in comp[start:]))
         return
-    for child in _nodes(m, comp[start]):
-        for rest in _children(m, comp, start + 1):
+    for child in _nodes(m, comp[start], small):
+        for rest in _children(m, comp, start + 1, small):
             yield (child,) + rest
 
 

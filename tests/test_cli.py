@@ -73,6 +73,15 @@ def test_hooks_rejects_malformed_code(capsys):
     assert "position 3" in err
 
 
+def test_hooks_reports_a_too_deep_tree(capsys):
+    code_text = "1" * 1200 + "0" * 1201
+    code, out, err = run(capsys, "hooks", "--arity", "2", "--code", code_text)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "too deep for the hook walks" in err
+
+
 def test_verify_text(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "thm1_1_eq1_7", "--m", "2", "--n-max", "4"
@@ -98,6 +107,16 @@ def test_verify_json_matches_schema(capsys):
         assert row["elapsed_ms"] == 0
     assert [row["S"] for row in rows[:4]] == [[], [], [], []]
     assert rows[-1]["S"] == [1, 2]
+
+
+def test_verify_all_subsets_of_a_full_set_family(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--family", "cor2_third", "--m", "2", "--S", "all", "--n-max", "4"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "5/5 passed"
+    assert all("S={1,2}" in line for line in lines[:-1])
 
 
 def test_verify_csv_columns(capsys):

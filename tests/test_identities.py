@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hooktrees import identities
-from hooktrees.algebra import ONE, Poly, X, rhs_binomial_poly, rhs_product_poly
+from hooktrees.algebra import ONE, ZERO, Poly, X, rhs_binomial_poly, rhs_product_poly
+from hooktrees.hooks import first_kind_hooks, standard_hooks
 from hooktrees.identities import (
     FAMILIES,
     FAMILY_TABLE,
@@ -22,7 +25,7 @@ from hooktrees.identities import (
     ns_within_budget,
     verify_suite,
 )
-from hooktrees.trees import count_trees
+from hooktrees.trees import count_trees, enumerate_trees
 
 half = Fraction(1, 2)
 
@@ -253,6 +256,28 @@ def test_verify_suite_turns_malformed_specs_into_failed_reports():
     assert all(r.note for r in result.reports[1:-1])
 
 
+def test_verify_suite_turns_any_exception_into_a_failed_report(monkeypatch):
+    def broken(m, n):
+        raise RuntimeError("closed form unavailable")
+
+    monkeypatch.setattr(identities, "rhs_binomial_poly", broken)
+    grid = [
+        IdentitySpec("lascoux_1_1", n=2),
+        IdentitySpec("duliu_1_2b", m=1, n=3),
+        IdentitySpec("thm1_1_eq1_7", m=2, n=3),
+        IdentitySpec("thm1_1_eq1_6", m=2, n=3),
+        IdentitySpec("forest_1_3b", n=3),
+        IdentitySpec("forest_1_3a", n=3),
+        IdentitySpec("duliu_1_2a", m=0, n=3),
+    ]
+    result = verify_suite(grid)
+    assert [r.spec for r in result.reports] == grid
+    assert [r.passed for r in result.reports] == [False, True, False, True, False, True, False]
+    for i in (0, 2, 4):
+        assert result.reports[i].note == "RuntimeError: closed form unavailable"
+    assert result.reports[6].note == "duliu_1_2a needs m >= 1, got 0"
+
+
 def test_verify_suite_caps_the_worker_pool(monkeypatch):
     sizes = []
 
@@ -297,3 +322,40 @@ def test_default_grid_is_well_formed():
     grid = default_grid()
     assert all(spec.family in FAMILIES for spec in grid)
     assert len(grid) == len(set(grid))
+
+
+factors = st.tuples(
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3).filter(lambda d: d != 0)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 4), (2, 4), (2, 5), (3, 4), (4, 3)]),
+    st.sampled_from(["standard", "first"]),
+    st.data(),
+)
+def test_multiset_sums_equal_per_tree_sums(shape, kind, data):
+    arity, n_max = shape
+    n = data.draw(st.integers(0, n_max))
+    table = [None] + data.draw(st.lists(factors, min_size=n, max_size=n))
+    hooks = standard_hooks if kind == "standard" else first_kind_hooks
+    values_of = lambda tree: hooks(tree).values()
+    poly_naive = ZERO
+    numeric_naive = Fraction(0)
+    for tree in enumerate_trees(arity, n):
+        term = ONE
+        value = Fraction(1)
+        for h in values_of(tree):
+            c1, c0, d = table[h]
+            term = term * Poly([Fraction(c0, d), Fraction(c1, d)])
+            value *= Fraction(c0, d)
+        poly_naive = poly_naive + term
+        numeric_naive += value
+    poly, visited = identities._poly_sum(enumerate_trees(arity, n), values_of, table, n)
+    assert poly == poly_naive
+    assert visited == count_trees(arity, n)
+    numeric_table = [None] + [(c0, d) for _, c0, d in table[1:]]
+    numeric, visited = identities._numeric_sum(enumerate_trees(arity, n), values_of, numeric_table)
+    assert numeric == numeric_naive
+    assert visited == count_trees(arity, n)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hooktrees import trees
 from hooktrees.trees import (
     DecodeError,
     LEAF,
@@ -83,6 +84,38 @@ def test_enumerated_trees_are_complete():
                 tree.check()
                 assert tree.internal_count() == n
                 assert tree.leaf_count() == (arity - 1) * n + 1
+
+
+def _reference_nodes(arity, n):
+    """Every node with n internal vertices, by plain recursion in canonical order."""
+    if n == 0:
+        return [LEAF]
+    nodes = []
+    for comp in _reference_compositions(n - 1, arity):
+        children = [()]
+        for part in comp:
+            children = [rest + (child,) for rest in children for child in _reference_nodes(arity, part)]
+        nodes += children
+    return nodes
+
+
+def _reference_compositions(total, parts):
+    if parts == 1:
+        return [(total,)]
+    return [(head,) + tail for head in range(total + 1)
+            for tail in _reference_compositions(total - head, parts - 1)]
+
+
+@pytest.mark.parametrize("cap, limit", [(None, 10_000), (0, 1_000), (1, 1_000), (5, 1_000)])
+def test_enumeration_matches_the_reference_enumerator(monkeypatch, cap, limit):
+    # a low cap sends every size above it through the streaming recursion
+    if cap is not None:
+        monkeypatch.setattr(trees, "_SUBTREE_LIST_CAP", cap)
+    for arity in (1, 2, 3, 4, 5):
+        for n in range(12):
+            if count_trees(arity, n) <= limit:
+                roots = [tree.root for tree in enumerate_trees(arity, n)]
+                assert roots == _reference_nodes(arity, n), (arity, n)
 
 
 def test_enumeration_is_lazy():
