@@ -23,12 +23,10 @@ from .algebra import (
     solve_phi,
 )
 from .hooks import (
-    HookProfile,
     compose,
     decompose,
     first_kind_hooks,
     forest_hooks,
-    hook_profile,
     prune,
     second_kind_hooks,
     standard_hooks,
@@ -75,12 +73,10 @@ __all__ = [
     "series_compose_scaled",
     "solve_omega",
     "solve_phi",
-    "HookProfile",
     "compose",
     "decompose",
     "first_kind_hooks",
     "forest_hooks",
-    "hook_profile",
     "prune",
     "second_kind_hooks",
     "standard_hooks",

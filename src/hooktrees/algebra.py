@@ -281,12 +281,6 @@ class PolySeries:
             [self.coeffs[n] * n for n in range(1, self.order + 1)], order=self.order - 1
         )
 
-    def integrate(self) -> "PolySeries":
-        """Antiderivative in t with constant term 0; order rises by one."""
-        out = [ZERO]
-        out.extend(self.coeffs[n] * Fraction(1, n + 1) for n in range(self.order + 1))
-        return PolySeries(out, order=self.order + 1)
-
     def mul_t(self) -> "PolySeries":
         """Multiply by t; order rises by one."""
         return PolySeries((ZERO,) + self.coeffs, order=self.order + 1)

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import Poly, closed_omega, closed_phi, solve_omega, solve_phi
-from .hooks import hook_profile
+from .hooks import first_kind_hooks, second_kind_hooks, standard_hooks
 from .identities import (
     FAMILIES,
     FAMILY_TABLE,
@@ -204,26 +204,30 @@ def _cmd_hooks(args, parser) -> int:
     except DecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    subsets = []
+    s_key = None
     if args.S is not None:
         try:
-            subsets = [_parse_positions(args.S)]
+            s_key = _parse_positions(args.S)
         except argparse.ArgumentTypeError as exc:
             parser.error(str(exc))
-    try:
-        profile = hook_profile(tree, subsets)
+    try:  # hbb first, so a bad --S is reported even for a too-deep tree
+        hbb = second_kind_hooks(tree, s_key) if s_key is not None else None
+        h = standard_hooks(tree)
+        hcal = first_kind_hooks(tree)
     except ValueError as exc:
         parser.error(str(exc))
     except RecursionError:
         print(f"error: tree too deep for the hook walks ({len(args.code)} code characters)",
               file=sys.stderr)
         return 2
-    s_key = subsets[0] if subsets else None
+    # The hooks come in preorder over internal vertices, and the code is the
+    # preorder over all vertices, so each vertex's index is where its '1' is.
+    indices = [pos for pos, ch in enumerate(args.code) if ch == "1"]
     rows = []
-    for idx in sorted(profile.h):
-        row = {"index": idx, "h": profile.h[idx], "hcal": profile.hcal[idx]}
-        if s_key is not None:
-            row["hbb"] = profile.hbb[s_key][idx]
+    for i, idx in enumerate(indices):
+        row = {"index": idx, "h": h[i], "hcal": hcal[i]}
+        if hbb is not None:
+            row["hbb"] = hbb[i]
         rows.append(row)
     if args.format == "json":
         doc = {

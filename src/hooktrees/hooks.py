@@ -1,8 +1,8 @@
 """Hook statistics on complete m-ary trees and plane forests.
 
 Three statistics are computed for every internal vertex v of an m-ary
-tree, each in one bottom-up pass and keyed by the vertex's preorder index
-over all vertices:
+tree by one recursive walk, ``_hooks``, and returned as a list in
+preorder over the internal vertices:
 
 * ``standard_hooks``     h_v   -- internal vertices in the subtree at v.
 * ``first_kind_hooks``   hcal  -- internal vertices left in that subtree
@@ -11,8 +11,11 @@ over all vertices:
                                   deleting the children at a fixed position
                                   set S from every surviving vertex.
 
-``forest_hooks`` is the plane-forest analogue counting all vertices (not
-just internal ones).  ``prune`` materializes the S-deletion as a tree of
+All three follow one rule: 1 plus the values of v's children at some
+set of positions (every position for h, those outside S for hbb), with
+hcal leaving out the last child's h.  ``forest_hooks`` is the
+plane-forest analogue counting all vertices (not just internal ones),
+also a preorder list.  ``prune`` materializes the S-deletion as a tree of
 smaller arity, and ``decompose`` / ``compose`` realize the induced
 bijection between an arity-(m+1) tree and a pruned skeleton plus the
 ordered forest of deleted subtrees.
@@ -20,7 +23,6 @@ ordered forest of deleted subtrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .trees import LEAF, MAryTree, Node, PlaneForest
@@ -39,55 +41,46 @@ def _position_set(positions: Iterable[int], arity: int) -> frozenset[int]:
     return s
 
 
-def standard_hooks(tree: MAryTree) -> dict[int, int]:
-    """h_v = 1 + sum of h over internal children, for every internal v."""
-    out: dict[int, int] = {}
+def _hooks(tree: MAryTree, pruned: frozenset[int], first: bool) -> list[int]:
+    """The one m-ary hook walk, in preorder over internal vertices.
 
-    def walk(node: Node, idx: int) -> tuple[int, int]:
-        if not node:
-            return idx + 1, 0
-        here = idx
-        idx += 1
+    A vertex's total is 1 plus the totals of its children at positions
+    outside ``pruned``; its slot holds that total, or with ``first`` the
+    total less the last child's (``pruned`` is then empty).
+    """
+    out: list[int] = []
+
+    def walk(node: Node) -> int:
+        slot = len(out)
+        out.append(0)
         total = 1
-        for child in node:
-            idx, sub = walk(child, idx)
-            total += sub
-        out[here] = total
-        return idx, total
+        for pos, child in enumerate(node, start=1):
+            sub = walk(child) if child else 0
+            if pos not in pruned:
+                total += sub
+        out[slot] = total - sub if first else total
+        return total
 
-    walk(tree.root, 0)
+    if tree.root:
+        walk(tree.root)
     return out
 
 
-def first_kind_hooks(tree: MAryTree) -> dict[int, int]:
+def standard_hooks(tree: MAryTree) -> list[int]:
+    """h_v = 1 + sum of h over internal children, for every internal v."""
+    return _hooks(tree, frozenset(), False)
+
+
+def first_kind_hooks(tree: MAryTree) -> list[int]:
     """hcal_v = 1 + sum of h over internal children at positions 1..m-1.
 
     Equivalently h_v minus the standard hook of v's rightmost child when
     that child is internal.
     """
-    out: dict[int, int] = {}
-
-    def walk(node: Node, idx: int) -> tuple[int, int]:
-        if not node:
-            return idx + 1, 0
-        here = idx
-        idx += 1
-        total = 1
-        kept = 1
-        last = len(node) - 1
-        for pos, child in enumerate(node):
-            idx, sub = walk(child, idx)
-            total += sub
-            if pos != last:
-                kept += sub
-        out[here] = kept
-        return idx, total
-
-    walk(tree.root, 0)
-    return out
+    return _hooks(tree, frozenset(), True)
 
 
-def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> dict[int, int]:
+def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> list[int]:
     """hbb_v = 1 + sum of hbb over internal children at unpruned positions.
 
     Defined for every internal vertex of the original tree: each v's value
@@ -95,69 +88,30 @@ def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> dict[int, int
     would delete still get a value.  Agrees with standard hooks of
     ``prune`` applied at each vertex.
     """
-    pruned = _position_set(positions, tree.arity)
-    out: dict[int, int] = {}
-
-    def walk(node: Node, idx: int) -> tuple[int, int]:
-        if not node:
-            return idx + 1, 0
-        here = idx
-        idx += 1
-        kept = 1
-        for pos, child in enumerate(node, start=1):
-            idx, sub = walk(child, idx)
-            if pos not in pruned:
-                kept += sub
-        out[here] = kept
-        return idx, kept
-
-    walk(tree.root, 0)
-    return out
+    return _hooks(tree, _position_set(positions, tree.arity), False)
 
 
-def forest_hooks(forest: PlaneForest) -> dict[int, int]:
+def forest_hooks(forest: PlaneForest) -> list[int]:
     """H_v = 1 + sum of H over children, for every vertex of every tree.
 
-    Keys are preorder indices taken across the whole forest, trees left to
-    right.  The root of each component tree gets that tree's vertex count.
+    Preorder across the whole forest, trees left to right; a childless
+    vertex counts, unlike an m-ary leaf, so this walk is the forest's own.
+    The root of each component tree gets that tree's vertex count.
     """
-    out: dict[int, int] = {}
+    out: list[int] = []
 
-    def walk(node: tuple, idx: int) -> tuple[int, int]:
-        here = idx
-        idx += 1
+    def walk(node: tuple) -> int:
+        slot = len(out)
+        out.append(0)
         total = 1
         for child in node:
-            idx, sub = walk(child, idx)
-            total += sub
-        out[here] = total
-        return idx, total
+            total += walk(child)
+        out[slot] = total
+        return total
 
-    idx = 0
     for tree in forest.trees:
-        idx, _ = walk(tree, idx)
+        walk(tree)
     return out
-
-
-@dataclass(frozen=True)
-class HookProfile:
-    """All hook statistics of one tree, keyed by preorder vertex index.
-
-    ``hbb`` maps each queried position set to its per-vertex statistic.
-    """
-
-    h: dict[int, int]
-    hcal: dict[int, int]
-    hbb: dict[frozenset[int], dict[int, int]]
-
-
-def hook_profile(tree: MAryTree, position_sets: Iterable[Iterable[int]] = ()) -> HookProfile:
-    """Bundle h, hcal, and hbb for each requested position set."""
-    hbb = {}
-    for positions in position_sets:
-        key = _position_set(positions, tree.arity)
-        hbb[key] = second_kind_hooks(tree, key)
-    return HookProfile(standard_hooks(tree), first_kind_hooks(tree), hbb)
 
 
 def prune(tree: MAryTree, positions: Iterable[int]) -> MAryTree:

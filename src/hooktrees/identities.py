@@ -313,12 +313,12 @@ def _numeric_sum(universe, values_of, table) -> tuple[Fraction, int]:
 
 def _hook_values(kind: str, S: frozenset[int] | None) -> Callable:
     if kind == "standard" or (kind == "second" and not S):
-        return lambda t: standard_hooks(t).values()
+        return standard_hooks
     if kind == "first":
-        return lambda t: first_kind_hooks(t).values()
+        return first_kind_hooks
     if kind == "second":
-        return lambda t: second_kind_hooks(t, S).values()
-    return lambda f: forest_hooks(f).values()
+        return lambda t: second_kind_hooks(t, S)
+    return forest_hooks
 
 
 def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[Poly | Fraction, int]:

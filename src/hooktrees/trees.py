@@ -4,8 +4,8 @@ A tree node is a plain tuple of its child nodes; ``()`` is a leaf.  In a
 complete m-ary tree every internal node is an m-tuple.  A plane tree node
 is a tuple of arbitrarily many children, and a plane forest a linearly
 ordered tuple of plane trees.  Sharing the one node vocabulary keeps the
-forest <-> binary-tree bijection (``psi`` / ``psi_inverse``) a four-line
-recursion.
+forest <-> binary-tree bijection (``psi`` / ``psi_inverse``) a few lines
+each: a loop along the right spine, recursing only into children.
 
 Enumeration is streaming: memory stays proportional to the tree depth
 plus the lists of all subtrees of each size that has at most
@@ -243,9 +243,11 @@ def psi(forest: PlaneForest) -> MAryTree:
 
 
 def _psi(trees: tuple) -> Node:
-    if not trees:
-        return LEAF
-    return (_psi(trees[0]), _psi(trees[1:]))
+    # Siblings loop along the right spine, so only nesting deepens the recursion.
+    node = LEAF
+    for tree in reversed(trees):
+        node = (_psi(tree), node)
+    return node
 
 
 def psi_inverse(tree: MAryTree) -> PlaneForest:
@@ -256,10 +258,11 @@ def psi_inverse(tree: MAryTree) -> PlaneForest:
 
 
 def _psi_inv(node: Node) -> tuple:
-    if not node:
-        return ()
-    left, right = node
-    return (_psi_inv(left),) + _psi_inv(right)
+    out = []
+    while node:
+        left, node = node
+        out.append(_psi_inv(left))
+    return tuple(out)
 
 
 def enumerate_forests(vertices: int) -> Iterator[PlaneForest]:

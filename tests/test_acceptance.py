@@ -151,14 +151,12 @@ def test_criterion_6_structural_properties():
     start = perf_counter()
 
     bijection_ok = True
-    multiset_ok = True
+    hooks_ok = True
     for n in range(9):
         for forest in enumerate_forests(n):
             image = psi(forest)
             bijection_ok &= psi_inverse(image) == forest
-            multiset_ok &= sorted(forest_hooks(forest).values()) == sorted(
-                first_kind_hooks(image).values()
-            )
+            hooks_ok &= forest_hooks(forest) == first_kind_hooks(image)
         for tree in enumerate_trees(2, n):
             bijection_ok &= psi(psi_inverse(tree)) == tree
 
@@ -192,15 +190,15 @@ def test_criterion_6_structural_properties():
             total += streamed
 
     elapsed = perf_counter() - start
-    ok = bijection_ok and multiset_ok and decompose_ok and codec_ok
+    ok = bijection_ok and hooks_ok and decompose_ok and codec_ok
     _report(
-        "6 (bijection round-trips, hook multisets, decompose/compose, codec)",
+        "6 (bijection round-trips, per-vertex hooks under psi, decompose/compose, codec)",
         ok,
-        f"psi={bijection_ok}, multiset={multiset_ok}, decompose={decompose_ok}, "
+        f"psi={bijection_ok}, hooks={hooks_ok}, decompose={decompose_ok}, "
         f"codec over {total} trees={codec_ok}, {elapsed:.1f}s",
     )
     assert bijection_ok
-    assert multiset_ok
+    assert hooks_ok
     assert decompose_ok
     assert codec_ok
 

@@ -174,10 +174,6 @@ def test_series_pow():
     assert PolySeries([1, 1], order=2) ** 2 == PolySeries([1, 2, 1])
 
 
-def test_series_integrate():
-    assert PolySeries([1, 2]).integrate() == PolySeries([0, 1, 1])
-
-
 def test_series_mul_t_and_truncate():
     s = PolySeries([1, X])
     assert s.mul_t() == PolySeries([0, 1, X])

@@ -67,6 +67,57 @@ def test_hooks_json(capsys):
     assert [v["hbb"] for v in doc["vertices"]] == [2, 1, 1]
 
 
+HOOKS_JSON = """\
+{
+  "arity": 3,
+  "code": "1100010000",
+  "S": [
+    2
+  ],
+  "vertices": [
+    {
+      "index": 0,
+      "h": 3,
+      "hcal": 3,
+      "hbb": 2
+    },
+    {
+      "index": 1,
+      "h": 1,
+      "hcal": 1,
+      "hbb": 1
+    },
+    {
+      "index": 5,
+      "h": 1,
+      "hcal": 1,
+      "hbb": 1
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["--arity", "3", "--code", "1100010000", "--S", "2"],
+            "index    h  hcal  hbb{2}\n    0    3     3  2\n    1    1     1  1\n    5    1     1  1\n",
+        ),
+        (["--arity", "3", "--code", "1100010000", "--S", "2", "--format", "json"], HOOKS_JSON),
+        (
+            ["--arity", "3", "--code", "1100010000", "--S", "2", "--format", "csv"],
+            "index,h,hcal,hbb\n0,3,3,2\n1,1,1,1\n5,1,1,1\n",
+        ),
+        (["--arity", "2", "--code", "0", "--format", "csv"], "index,h,hcal\n"),
+    ],
+)
+def test_hooks_output_is_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, "hooks", *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_hooks_rejects_malformed_code(capsys):
     code, out, err = run(capsys, "hooks", "--arity", "2", "--code", "110")
     assert code == 1

@@ -9,7 +9,6 @@ from hooktrees.hooks import (
     decompose,
     first_kind_hooks,
     forest_hooks,
-    hook_profile,
     prune,
     second_kind_hooks,
     standard_hooks,
@@ -29,26 +28,23 @@ from test_trees import mary_trees
 TERNARY = decode("1100010000", 3)
 
 
-def subtree_nodes(tree: MAryTree) -> dict[int, Node]:
-    """Preorder index -> node, the oracle's way into each subtree."""
-    out = {}
-
-    def walk(node, idx):
-        out[idx] = node
-        idx += 1
-        for child in node:
-            idx = walk(child, idx)
-        return idx
-
-    walk(tree.root, 0)
+def internal_nodes(tree: MAryTree) -> list[Node]:
+    """Internal nodes in preorder, the oracles' way into each subtree."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node:
+            out.append(node)
+            stack.extend(reversed(node))
     return out
 
 
 def test_standard_hooks_examples():
-    assert standard_hooks(decode("11000", 2)) == {0: 2, 1: 1}
-    assert standard_hooks(decode("100", 2)) == {0: 1}
-    assert standard_hooks(TERNARY) == {0: 3, 1: 1, 5: 1}
-    assert standard_hooks(MAryTree(2)) == {}
+    assert standard_hooks(decode("11000", 2)) == [2, 1]
+    assert standard_hooks(decode("100", 2)) == [1]
+    assert standard_hooks(TERNARY) == [3, 1, 1]
+    assert standard_hooks(MAryTree(2)) == []
 
 
 def test_standard_hook_of_root_is_internal_count():
@@ -57,27 +53,23 @@ def test_standard_hook_of_root_is_internal_count():
 
 
 def test_first_kind_hooks_examples():
-    assert first_kind_hooks(decode("11000", 2)) == {0: 2, 1: 1}
-    assert first_kind_hooks(decode("10100", 2)) == {0: 1, 2: 1}
+    assert first_kind_hooks(decode("11000", 2)) == [2, 1]
+    assert first_kind_hooks(decode("10100", 2)) == [1, 1]
 
 
 def test_first_kind_bounded_by_standard():
     for tree in enumerate_trees(3, 4):
         h = standard_hooks(tree)
         hcal = first_kind_hooks(tree)
-        assert set(h) == set(hcal)
-        assert all(1 <= hcal[v] <= h[v] for v in h)
+        assert len(h) == len(hcal)
+        assert all(1 <= c <= s for s, c in zip(h, hcal))
 
 
 def test_first_kind_on_binary_counts_left_subtree():
     for tree in enumerate_trees(2, 5):
-        h = standard_hooks(tree)
         hcal = first_kind_hooks(tree)
-        nodes = subtree_nodes(tree)
-        for v, node in nodes.items():
-            if node:
-                left = h.get(v + 1, 0)  # preorder: left child right after v
-                assert hcal[v] == 1 + left
+        left = [MAryTree(2, node[0]).internal_count() for node in internal_nodes(tree)]
+        assert hcal == [1 + size for size in left]
 
 
 def test_second_kind_empty_set_is_standard():
@@ -86,9 +78,9 @@ def test_second_kind_empty_set_is_standard():
 
 
 def test_second_kind_examples():
-    assert second_kind_hooks(TERNARY, {2}) == {0: 2, 1: 1, 5: 1}
+    assert second_kind_hooks(TERNARY, {2}) == [2, 1, 1]
     # with both prunable positions gone only last-child chains survive
-    assert second_kind_hooks(TERNARY, {1, 2}) == {0: 1, 1: 1, 5: 1}
+    assert second_kind_hooks(TERNARY, {1, 2}) == [1, 1, 1]
 
 
 def test_second_kind_rejects_bad_positions():
@@ -112,14 +104,12 @@ def test_prune_produces_complete_trees():
             pruned.check()
 
 
-def oracle_second_kind(tree: MAryTree, positions) -> dict[int, int]:
+def oracle_second_kind(tree: MAryTree, positions) -> list[int]:
     """The slow route: prune each subtree separately and count."""
-    out = {}
-    for idx, node in subtree_nodes(tree).items():
-        if node:
-            sub = MAryTree(tree.arity, node)
-            out[idx] = prune(sub, positions).internal_count()
-    return out
+    return [
+        prune(MAryTree(tree.arity, node), positions).internal_count()
+        for node in internal_nodes(tree)
+    ]
 
 
 def test_second_kind_agrees_with_prune_oracle_exhaustive():
@@ -138,6 +128,19 @@ def test_second_kind_agrees_with_prune_oracle_random(tree, data):
     assert second_kind_hooks(tree, positions) == oracle_second_kind(tree, positions)
 
 
+@given(mary_trees(), st.data())
+def test_hooks_agree_with_subtree_oracles(tree, data):
+    positions = data.draw(st.frozensets(st.integers(1, tree.arity - 1)))
+    nodes = internal_nodes(tree)
+
+    def size(node):
+        return MAryTree(tree.arity, node).internal_count()
+
+    assert standard_hooks(tree) == [size(node) for node in nodes]
+    assert first_kind_hooks(tree) == [1 + sum(map(size, node[:-1])) for node in nodes]
+    assert second_kind_hooks(tree, positions) == oracle_second_kind(tree, positions)
+
+
 def _subsets(m):
     subs = [frozenset()]
     for p in range(1, m + 1):
@@ -146,17 +149,17 @@ def _subsets(m):
 
 
 def test_forest_hooks_examples():
-    assert forest_hooks(PlaneForest(((),))) == {0: 1}
-    assert forest_hooks(PlaneForest((((),),))) == {0: 2, 1: 1}
-    assert forest_hooks(PlaneForest(((), ()))) == {0: 1, 1: 1}
+    assert forest_hooks(PlaneForest(((),))) == [1]
+    assert forest_hooks(PlaneForest((((),),))) == [2, 1]
+    assert forest_hooks(PlaneForest(((), ()))) == [1, 1]
+    assert forest_hooks(PlaneForest()) == []
 
 
 def test_forest_hook_multiset_matches_first_kind_under_psi():
+    # psi keeps preorder, so the hooks agree vertex by vertex, not just as multisets
     for n in range(7):
         for forest in enumerate_forests(n):
-            lhs = sorted(forest_hooks(forest).values())
-            rhs = sorted(first_kind_hooks(psi(forest)).values())
-            assert lhs == rhs
+            assert forest_hooks(forest) == first_kind_hooks(psi(forest))
 
 
 def test_decompose_examples():
@@ -202,9 +205,3 @@ def test_decompose_compose_round_trip_exhaustive():
                     assert total == tree.internal_count()
                     assert compose(skeleton, forest, positions) == tree
 
-
-def test_hook_profile_bundles_statistics():
-    profile = hook_profile(TERNARY, [{2}])
-    assert profile.h == standard_hooks(TERNARY)
-    assert profile.hcal == first_kind_hooks(TERNARY)
-    assert profile.hbb == {frozenset({2}): second_kind_hooks(TERNARY, {2})}

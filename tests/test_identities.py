@@ -339,8 +339,7 @@ def test_multiset_sums_equal_per_tree_sums(shape, kind, data):
     arity, n_max = shape
     n = data.draw(st.integers(0, n_max))
     table = [None] + data.draw(st.lists(factors, min_size=n, max_size=n))
-    hooks = standard_hooks if kind == "standard" else first_kind_hooks
-    values_of = lambda tree: hooks(tree).values()
+    values_of = standard_hooks if kind == "standard" else first_kind_hooks
     poly_naive = ZERO
     numeric_naive = Fraction(0)
     for tree in enumerate_trees(arity, n):

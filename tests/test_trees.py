@@ -211,6 +211,20 @@ def test_psi_round_trips():
             assert psi_inverse(psi(forest)) == forest
 
 
+def test_psi_round_trips_long_right_spines():
+    # Deeply nested tuples are compared through their codes: tuple equality
+    # itself recurses in C.
+    forest = PlaneForest(((),) * 5000)
+    node = LEAF
+    for _ in range(5000):
+        node = (LEAF, node)
+    comb = MAryTree(2, node)
+    assert psi(forest).encode() == comb.encode() == "10" * 5000 + "0"
+    assert psi_inverse(comb) == forest
+    assert psi_inverse(psi(forest)) == forest
+    assert psi(psi_inverse(comb)).encode() == comb.encode()
+
+
 def test_enumerate_forests_counts():
     assert [f for f in enumerate_forests(0)] == [PlaneForest()]
     two = list(enumerate_forests(2))
