@@ -38,12 +38,8 @@ from .identities import (
     VerificationReport,
     check_gf_relations,
     check_identity,
-    check_postnikov_lascoux,
     check_recurrence_thm1_1,
     default_grid,
-    lhs_forests,
-    lhs_thm1_1,
-    lhs_thm1_2,
     verify_suite,
 )
 from .trees import (
@@ -86,12 +82,8 @@ __all__ = [
     "VerificationReport",
     "check_gf_relations",
     "check_identity",
-    "check_postnikov_lascoux",
     "check_recurrence_thm1_1",
     "default_grid",
-    "lhs_forests",
-    "lhs_thm1_1",
-    "lhs_thm1_2",
     "verify_suite",
     "DecodeError",
     "MAryTree",

@@ -2,7 +2,9 @@
 
 Five subcommands: ``count``, ``enumerate``, ``hooks``, ``verify``, and
 ``series``.  Verification reports serialize to text, json (an array of
-objects matching ``REPORT_SCHEMA``), or csv with the same columns.  Output
+objects matching ``REPORT_SCHEMA``), or csv with the same columns.  One
+emitter writes the json and csv of ``hooks``, ``verify`` and ``series``
+from rows and a column list; only the text layouts differ.  Output
 is byte-identical across repeated runs with the same flags, including runs
 that parallelize internally; pass ``--timing`` to trade that reproducibility
 for wall-clock numbers in the ``elapsed_ms`` field.
@@ -23,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import Poly, closed_omega, closed_phi, solve_omega, solve_phi
+from .algebra import Poly, closed_phi, solve_phi
 from .hooks import first_kind_hooks, second_kind_hooks, standard_hooks
 from .identities import (
     FAMILIES,
@@ -78,31 +80,32 @@ def report_to_dict(report: VerificationReport, timing: bool = False) -> dict:
     }
 
 
-def render_reports(reports, fmt: str, timing: bool = False) -> str:
-    """Render verification reports as text, json, or csv."""
-    rows = [report_to_dict(r, timing) for r in reports]
+def _cell(value):
+    """One csv cell: positions joined by ",", coefficients by a space."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ("," if value and isinstance(value[0], int) else " ").join(map(str, value))
+    return value
+
+
+def _emit(rows: list[dict], columns: list[str], fmt: str, text_lines, doc=None) -> str:
+    """Rows as json (``doc`` in their place if given), csv, or the text lines,
+    which are read only for text so that json and csv never build them."""
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        return json.dumps(doc or rows, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_SCHEMA["required"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["family"],
-                    row["m"] if row["m"] is not None else "",
-                    row["n"],
-                    ",".join(str(p) for p in row["S"]) if row["S"] is not None else "",
-                    "true" if row["pass"] else "false",
-                    " ".join(row["lhs"]),
-                    " ".join(row["rhs"]),
-                    row["trees_visited"],
-                    row["elapsed_ms"],
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows([_cell(row[col]) for col in columns] for row in rows)
         return buf.getvalue()
-    lines = []
+    return "".join(line + "\n" for line in text_lines)
+
+
+def _report_lines(reports, rows):
     for report, row in zip(reports, rows):
         verdict = "PASS" if row["pass"] else "FAIL"
         s_text = "{" + ",".join(str(p) for p in row["S"]) + "}" if row["S"] is not None else "-"
@@ -114,10 +117,15 @@ def render_reports(reports, fmt: str, timing: bool = False) -> str:
         )
         if report.note:
             line += f" note={report.note}"
-        lines.append(line)
+        yield line
     passed = sum(1 for row in rows if row["pass"])
-    lines.append(f"{passed}/{len(rows)} passed")
-    return "\n".join(lines) + "\n"
+    yield f"{passed}/{len(rows)} passed"
+
+
+def render_reports(reports, fmt: str, timing: bool = False) -> str:
+    """Render verification reports as text, json, or csv."""
+    rows = [report_to_dict(r, timing) for r in reports]
+    return _emit(rows, REPORT_SCHEMA["required"], fmt, _report_lines(reports, rows))
 
 
 def _parse_positions(text: str) -> frozenset[int]:
@@ -223,36 +231,22 @@ def _cmd_hooks(args, parser) -> int:
     # The hooks come in preorder over internal vertices, and the code is the
     # preorder over all vertices, so each vertex's index is where its '1' is.
     indices = [pos for pos, ch in enumerate(args.code) if ch == "1"]
-    rows = []
-    for i, idx in enumerate(indices):
-        row = {"index": idx, "h": h[i], "hcal": hcal[i]}
-        if hbb is not None:
-            row["hbb"] = hbb[i]
-        rows.append(row)
-    if args.format == "json":
-        doc = {
-            "arity": args.arity,
-            "code": args.code,
-            "S": sorted(s_key) if s_key is not None else None,
-            "vertices": rows,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        header = ["index", "h", "hcal"] + (["hbb"] if s_key is not None else [])
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[col] for col in header])
-    else:
-        header = f"{'index':>5} {'h':>4} {'hcal':>5}"
-        if s_key is not None:
-            header += f"  hbb{{{','.join(str(p) for p in sorted(s_key))}}}"
-        print(header)
-        for row in rows:
-            line = f"{row['index']:>5} {row['h']:>4} {row['hcal']:>5}"
-            if s_key is not None:
-                line += f"  {row['hbb']}"
-            print(line)
+    columns = ["index", "h", "hcal"]
+    values = [indices, h, hcal]
+    if hbb is not None:
+        columns.append("hbb")
+        values.append(hbb)
+    rows = [dict(zip(columns, vertex)) for vertex in zip(*values)]
+    s_list = sorted(s_key) if s_key is not None else None
+    doc = {"arity": args.arity, "code": args.code, "S": s_list, "vertices": rows}
+    # The title row goes through the same right-aligned layout as the values.
+    titles = dict(zip(columns, ["index", "h", "hcal", f"hbb{{{_cell(s_list)}}}"]))
+    lines = (
+        f"{row['index']:>5} {row['h']:>4} {row['hcal']:>5}"
+        + (f"  {row['hbb']}" if "hbb" in row else "")
+        for row in [titles, *rows]
+    )
+    sys.stdout.write(_emit(rows, columns, args.format, lines, doc))
     return 0
 
 
@@ -298,21 +292,16 @@ def _cmd_series(args, parser) -> int:
         parser.error("--a and --b must be >= 1")
     if args.order < 0:
         parser.error("--order must be >= 0")
-    if args.solver == "omega":
-        if args.s is not None:
-            parser.error("--s is only accepted by the phi solver")
-        series = solve_omega(args.a, args.b, args.order)
-        closed = lambda n: closed_omega(args.a, args.b, n)
-    else:
-        s = args.s if args.s is not None else 0
-        if s < 0:
-            parser.error("--s must be >= 0")
-        series = solve_phi(args.a, args.b, s, args.order)
-        closed = lambda n: closed_phi(args.a, args.b, s, n)
+    if args.solver == "omega" and args.s is not None:
+        parser.error("--s is only accepted by the phi solver")
+    s = args.s or 0  # omega is phi with s = 0
+    if s < 0:
+        parser.error("--s must be >= 0")
+    series = solve_phi(args.a, args.b, s, args.order)
 
     rows = []
     for n in range(args.order + 1):
-        expected = Poly([1]) if n == 0 else closed(n)
+        expected = Poly([1]) if n == 0 else closed_phi(args.a, args.b, s, n)
         rows.append(
             {
                 "n": n,
@@ -321,23 +310,9 @@ def _cmd_series(args, parser) -> int:
                 "match": series.coeffs[n] == expected,
             }
         )
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "coefficients", "closed_form", "match"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["n"],
-                    " ".join(row["coefficients"]),
-                    " ".join(row["closed_form"]),
-                    "true" if row["match"] else "false",
-                ]
-            )
-    else:
-        for n, row in enumerate(rows):
-            print(f"t^{n}: {series.coeffs[n]}  match={row['match']}")
+    lines = (f"t^{row['n']}: {series.coeffs[row['n']]}  match={row['match']}" for row in rows)
+    columns = ["n", "coefficients", "closed_form", "match"]
+    sys.stdout.write(_emit(rows, columns, args.format, lines))
     return 0 if all(row["match"] for row in rows) else 1
 
 

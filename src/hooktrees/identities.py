@@ -296,6 +296,9 @@ def _poly_sum(universe, values_of, table, n: int) -> tuple[Poly, int]:
     return Poly(coeffs), counts.total()
 
 
+# Numeric sums stay apart from _poly_sum: a zero sum must render as "0", and
+# a zero Poly renders as no coefficients.  cor2_first, m = 2, S = {1,2}, n >= 1
+# sums to 0: every tree has a vertex with hbb = 1, whose factor m-s-1+1/hbb is 0.
 def _numeric_sum(universe, values_of, table) -> tuple[Fraction, int]:
     counts = _multiset_counts(universe, values_of)
     buckets: dict[int, int] = {}
@@ -341,47 +344,6 @@ def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[
     return total, visited
 
 
-def _form_family(form: str, **families: str) -> str:
-    if form not in families:
-        raise ValueError(f"unknown form {form!r}")
-    return families[form]
-
-
-def lhs_thm1_1(m: int, n: int, form: str) -> Poly:
-    """Enumerated left side of the first-kind identities ("eq1_6" or "eq1_7")."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    family = _form_family(form, eq1_6="thm1_1_eq1_6", eq1_7="thm1_1_eq1_7")
-    return _lhs(family, m, n, None)[0]
-
-
-def lhs_thm1_2(m: int, S: Iterable[int], n: int, form: str) -> Poly:
-    """Enumerated left side of the second-kind identities ("eq5_1a" or "eq5_1b").
-
-    Sums over complete (m+1)-ary trees; m = 0 (unary paths) is supported
-    for use as the inner series of the composition check.
-    """
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    s_set = frozenset(S)
-    if not s_set <= frozenset(range(1, m + 1)):
-        raise ValueError(f"S = {sorted(s_set)} is not a subset of [1..{m}]")
-    family = _form_family(form, eq5_1a="thm1_2_eq5_1a", eq5_1b="thm1_2_eq5_1b")
-    return _lhs(family, m, n, s_set)[0]
-
-
-def lhs_forests(n: int, form: str) -> Poly:
-    """Enumerated left side of the plane-forest identities ("eq1_3a" or "eq1_3b")."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    family = _form_family(form, eq1_3a="forest_1_3a", eq1_3b="forest_1_3b")
-    return _lhs(family, None, n, None)[0]
-
-
 def _evaluate(spec: IdentitySpec) -> tuple[Poly | Fraction, Poly | Fraction, int, bool]:
     """Build (lhs, rhs, trees_visited, cross_ok) for a validated spec."""
     row = FAMILY_TABLE[spec.family]
@@ -406,12 +368,6 @@ def check_identity(spec: IdentitySpec, *, _corrupt_rhs: bool = False) -> Verific
     passed = cross_ok and lhs == rhs
     note = None if cross_ok else "closed-form cross-check mismatch"
     return VerificationReport(spec, lhs, rhs, passed, visited, perf_counter() - start, note)
-
-
-def check_postnikov_lascoux(n: int, form: str) -> VerificationReport:
-    """Check the two binary-tree precursors: "postnikov" (numeric) or "eq1_1"."""
-    family = _form_family(form, postnikov="postnikov", eq1_1="lascoux_1_1")
-    return check_identity(IdentitySpec(family, n=n))
 
 
 def check_recurrence_thm1_1(m: int, n: int) -> VerificationReport:
@@ -545,11 +501,12 @@ def verify_suite(
     """Run ``check_identity`` over a grid, optionally across processes.
 
     The pool never has more workers than ``jobs``, the CPU count or the
-    number of specs.  Results are deterministic and independent of the worker count: exact
-    arithmetic makes the reductions order-free and reports come back in
-    grid order.  A spec with invalid parameters yields a failed report
-    carrying the error text instead of aborting the run, and so does a spec
-    whose check raises any other exception (its note names the type).
+    number of specs.  Results are deterministic and independent of the
+    worker count: exact arithmetic makes the reductions order-free and
+    reports come back in grid order.  A spec with invalid parameters
+    yields a failed report carrying the error text instead of aborting the
+    run, and so does a spec whose check raises any other exception (its
+    note names the type).
     """
     specs = [(spec, _corrupt_rhs) for spec in grid]
     start = perf_counter()
@@ -564,6 +521,8 @@ def verify_suite(
 
 def ns_within_budget(arity: int, cap: int) -> list[int]:
     """All n (from 0) whose universe size count_trees(arity, n) stays <= cap."""
+    if arity < 2:  # one unary tree of every size: no cap would end the list
+        raise ValueError(f"need arity >= 2, got {arity}")
     ns = []
     n = 0
     while count_trees(arity, n) <= cap:

@@ -26,7 +26,7 @@ Node = tuple
 LEAF: Node = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MAryTree:
     """A complete m-ary tree: every internal vertex has exactly m ordered children.
 
@@ -41,6 +41,16 @@ class MAryTree:
 
     arity: int
     root: Node = LEAF
+
+    # Equality compares codes: comparing the nested root tuples recurses in C
+    # and raises RecursionError on trees deeper than about 1,000 levels.
+    def __eq__(self, other):
+        if not isinstance(other, MAryTree):
+            return NotImplemented
+        return self.arity == other.arity and self.encode() == other.encode()
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.root))
 
     def internal_count(self) -> int:
         total = 0

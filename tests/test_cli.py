@@ -118,6 +118,131 @@ def test_hooks_output_is_pinned(capsys, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+COR2_FIRST_JSON = """\
+[
+  {
+    "family": "cor2_first",
+    "m": 2,
+    "n": 0,
+    "S": [
+      1,
+      2
+    ],
+    "pass": true,
+    "lhs": [
+      "1"
+    ],
+    "rhs": [
+      "1"
+    ],
+    "trees_visited": 1,
+    "elapsed_ms": 0
+  },
+  {
+    "family": "cor2_first",
+    "m": 2,
+    "n": 1,
+    "S": [
+      1,
+      2
+    ],
+    "pass": true,
+    "lhs": [
+      "0"
+    ],
+    "rhs": [
+      "0"
+    ],
+    "trees_visited": 1,
+    "elapsed_ms": 0
+  },
+  {
+    "family": "cor2_first",
+    "m": 2,
+    "n": 2,
+    "S": [
+      1,
+      2
+    ],
+    "pass": true,
+    "lhs": [
+      "0"
+    ],
+    "rhs": [
+      "0"
+    ],
+    "trees_visited": 3,
+    "elapsed_ms": 0
+  }
+]
+"""
+
+COR2_FIRST = ["verify", "--family", "cor2_first", "--m", "2", "--S", "1,2", "--n-max", "2"]
+COR1_FIRST_M1 = ["verify", "--family", "cor1_first", "--m", "1", "--n-max", "1"]
+PHI_S2 = ["series", "--solver", "phi", "--a", "1", "--b", "2", "--s", "2", "--order", "2"]
+COR1_NOTE = "note=cor1_first needs m >= 2, got 1"
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, expected",
+    [
+        (
+            COR2_FIRST,
+            0,
+            "PASS cor2_first m=2 n=0 S={1,2} trees=1 lhs=1 rhs=1\n"
+            "PASS cor2_first m=2 n=1 S={1,2} trees=1 lhs=0 rhs=0\n"
+            "PASS cor2_first m=2 n=2 S={1,2} trees=3 lhs=0 rhs=0\n"
+            "3/3 passed\n",
+        ),
+        (COR2_FIRST + ["--format", "json"], 0, COR2_FIRST_JSON),
+        (
+            COR2_FIRST + ["--format", "csv"],
+            0,
+            "family,m,n,S,pass,lhs,rhs,trees_visited,elapsed_ms\n"
+            'cor2_first,2,0,"1,2",true,1,1,1,0\n'
+            'cor2_first,2,1,"1,2",true,0,0,1,0\n'
+            'cor2_first,2,2,"1,2",true,0,0,3,0\n',
+        ),
+        (
+            COR1_FIRST_M1,
+            1,
+            f"FAIL cor1_first m=1 n=0 S=- trees=0 lhs=- rhs=- {COR1_NOTE}\n"
+            f"FAIL cor1_first m=1 n=1 S=- trees=0 lhs=- rhs=- {COR1_NOTE}\n"
+            "0/2 passed\n",
+        ),
+        (
+            COR1_FIRST_M1 + ["--format", "csv"],
+            1,
+            "family,m,n,S,pass,lhs,rhs,trees_visited,elapsed_ms\n"
+            "cor1_first,1,0,,false,,,0,0\n"
+            "cor1_first,1,1,,false,,,0,0\n",
+        ),
+        (
+            PHI_S2,
+            0,
+            "t^0: 1  match=True\nt^1: x  match=True\nt^2: (7/2)x^2 + (1/2)x  match=True\n",
+        ),
+        (
+            PHI_S2 + ["--format", "csv"],
+            0,
+            "n,coefficients,closed_form,match\n"
+            "0,1,1,true\n1,0 1,0 1,true\n2,0 1/2 7/2,0 1/2 7/2,true\n",
+        ),
+        (
+            ["series", "--solver", "omega", "--a", "1", "--b", "1", "--order", "2",
+             "--format", "csv"],
+            0,
+            "n,coefficients,closed_form,match\n"
+            "0,1,1,true\n1,0 1,0 1,true\n2,0 1/2 1,0 1/2 1,true\n",
+        ),
+    ],
+    ids=["cor2_first-text", "cor2_first-json", "cor2_first-csv", "cor1_first-m1-text",
+         "cor1_first-m1-csv", "phi-s2-text", "phi-s2-csv", "omega-csv"],
+)
+def test_verify_and_series_output_is_pinned(capsys, argv, expected_code, expected):
+    assert run(capsys, *argv) == (expected_code, expected, "")
+
+
 def test_hooks_rejects_malformed_code(capsys):
     code, out, err = run(capsys, "hooks", "--arity", "2", "--code", "110")
     assert code == 1

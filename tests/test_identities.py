@@ -16,12 +16,8 @@ from hooktrees.identities import (
     all_position_subsets,
     check_gf_relations,
     check_identity,
-    check_postnikov_lascoux,
     check_recurrence_thm1_1,
     default_grid,
-    lhs_forests,
-    lhs_thm1_1,
-    lhs_thm1_2,
     ns_within_budget,
     verify_suite,
 )
@@ -30,40 +26,46 @@ from hooktrees.trees import count_trees, enumerate_trees
 half = Fraction(1, 2)
 
 
+def lhs_of(family, m, n, S=None):
+    return check_identity(IdentitySpec(family, m=m, n=n, S=S)).lhs
+
+
 def test_lhs_thm1_1_small_values():
-    assert lhs_thm1_1(2, 0, "eq1_6") == ONE
-    assert lhs_thm1_1(2, 1, "eq1_6") == Poly([1, 1])
-    assert lhs_thm1_1(2, 2, "eq1_6") == Poly([1, 1]) * Poly([Fraction(3, 2), 2])
-    assert lhs_thm1_1(2, 2, "eq1_7") == Poly([0, -half, Fraction(5, 2)])
+    assert lhs_of("thm1_1_eq1_6", 2, 0) == ONE
+    assert lhs_of("thm1_1_eq1_6", 2, 1) == Poly([1, 1])
+    assert lhs_of("thm1_1_eq1_6", 2, 2) == Poly([1, 1]) * Poly([Fraction(3, 2), 2])
+    assert lhs_of("thm1_1_eq1_7", 2, 2) == Poly([0, -half, Fraction(5, 2)])
 
 
 def test_lhs_thm1_2_small_values():
-    assert lhs_thm1_2(1, (), 2, "eq5_1a") == Poly([1, 1]) * Poly([1, 2])
+    assert lhs_of("thm1_2_eq5_1a", 1, 2) == Poly([1, 1]) * Poly([1, 2])
     # eq5_1b with standard hooks reproduces the binomial closed form
     for n in range(5):
-        assert lhs_thm1_2(2, (), n, "eq5_1b") == rhs_binomial_poly(2, n)
+        assert lhs_of("thm1_2_eq5_1b", 2, n) == rhs_binomial_poly(2, n)
 
 
 def test_lhs_thm1_2_supports_unary_trees():
-    # arity 1: one path per size; hooks n, n-1, ..., 1
-    assert lhs_thm1_2(0, (), 2, "eq5_1a") == Poly([1, 1]) * Poly([half, 1])
+    # arity 1: one path per size; hooks n, n-1, ..., 1.  m = 0 is below the
+    # row's min_m, so the unvalidated summation is called directly.
+    lhs, visited = identities._lhs("thm1_2_eq5_1a", 0, 2, frozenset())
+    assert lhs == Poly([1, 1]) * Poly([half, 1]) and visited == 1
 
 
 def test_lhs_thm1_2_is_invariant_in_s_of_fixed_size():
     for n in range(4):
-        assert lhs_thm1_2(2, {1}, n, "eq5_1a") == lhs_thm1_2(2, {2}, n, "eq5_1a")
-        assert lhs_thm1_2(2, {1}, n, "eq5_1b") == lhs_thm1_2(2, {2}, n, "eq5_1b")
+        for family in ("thm1_2_eq5_1a", "thm1_2_eq5_1b"):
+            assert lhs_of(family, 2, n, {1}) == lhs_of(family, 2, n, {2})
 
 
 def test_lhs_forests_small_values():
-    assert lhs_forests(1, "eq1_3a") == Poly([1, 1])
-    assert lhs_forests(2, "eq1_3a") == Poly([1, 1]) * Poly([Fraction(3, 2), 2])
-    assert lhs_forests(2, "eq1_3b") == Poly([0, -half, Fraction(5, 2)])
+    assert lhs_of("forest_1_3a", None, 1) == Poly([1, 1])
+    assert lhs_of("forest_1_3a", None, 2) == Poly([1, 1]) * Poly([Fraction(3, 2), 2])
+    assert lhs_of("forest_1_3b", None, 2) == Poly([0, -half, Fraction(5, 2)])
 
 
 def test_forests_match_first_kind_via_bijection():
     for n in range(7):
-        assert lhs_forests(n, "eq1_3a") == lhs_thm1_1(2, n, "eq1_6")
+        assert lhs_of("forest_1_3a", None, n) == lhs_of("thm1_1_eq1_6", 2, n)
 
 
 def test_special_value_collapse_counts_trees():
@@ -71,24 +73,24 @@ def test_special_value_collapse_counts_trees():
     # x = 1; for eq1_7 every factor is 1 there, for eq5_1b the sum over the
     # larger arity-(m+1) universe collapses to the same closed-form value
     for m, n in [(2, 4), (3, 3), (4, 2)]:
-        assert lhs_thm1_1(m, n, "eq1_7")(1) == count_trees(m, n)
+        assert lhs_of("thm1_1_eq1_7", m, n)(1) == count_trees(m, n)
     for m, n in [(1, 4), (2, 3)]:
-        assert lhs_thm1_2(m, (), n, "eq5_1b")(1) == count_trees(m, n)
+        assert lhs_of("thm1_2_eq5_1b", m, n)(1) == count_trees(m, n)
 
 
 def test_postnikov_small():
-    report = check_postnikov_lascoux(2, "postnikov")
+    report = check_identity(IdentitySpec("postnikov", n=2))
     assert report.lhs == 3 and report.rhs == 3 and report.passed
     assert report.trees_visited == 2
 
 
 def test_lascoux_eq_1_1():
-    assert check_postnikov_lascoux(1, "eq1_1").lhs == X
-    report = check_postnikov_lascoux(3, "eq1_1")
+    assert lhs_of("lascoux_1_1", None, 1) == X
+    report = check_identity(IdentitySpec("lascoux_1_1", n=3))
     assert report.passed
     assert report.trees_visited == 5
     with pytest.raises(ValueError):
-        check_postnikov_lascoux(2, "nope")
+        check_identity(IdentitySpec("nope", n=2))
 
 
 @pytest.mark.parametrize(
@@ -206,6 +208,23 @@ def test_ns_within_budget():
     assert ns_within_budget(2, 5) == [0, 1, 2, 3]
     assert ns_within_budget(2, 200_000)[-1] == 11
     assert ns_within_budget(3, 200_000)[-1] == 8
+
+
+def test_ns_within_budget_rejects_unary_trees():
+    # count_trees(1, n) is 1 for every n, so no cap would ever be exceeded
+    with pytest.raises(ValueError):
+        ns_within_budget(1, 10)
+    with pytest.raises(ValueError):
+        identities.grid_theorem1(ms=(1,))
+
+
+def test_package_exports_resolve():
+    import hooktrees
+
+    assert [name for name in hooktrees.__all__ if not hasattr(hooktrees, name)] == []
+    namespace = {}
+    exec("from hooktrees import *", namespace)
+    assert set(hooktrees.__all__) <= set(namespace)
 
 
 def test_all_position_subsets():

@@ -211,18 +211,31 @@ def test_psi_round_trips():
             assert psi_inverse(psi(forest)) == forest
 
 
-def test_psi_round_trips_long_right_spines():
-    # Deeply nested tuples are compared through their codes: tuple equality
-    # itself recurses in C.
-    forest = PlaneForest(((),) * 5000)
+def _right_comb(size):
     node = LEAF
-    for _ in range(5000):
+    for _ in range(size):
         node = (LEAF, node)
-    comb = MAryTree(2, node)
-    assert psi(forest).encode() == comb.encode() == "10" * 5000 + "0"
+    return MAryTree(2, node)
+
+
+def test_psi_round_trips_long_right_spines():
+    forest = PlaneForest(((),) * 5000)
+    comb = _right_comb(5000)
+    assert comb.encode() == "10" * 5000 + "0"
+    assert psi(forest) == comb
     assert psi_inverse(comb) == forest
     assert psi_inverse(psi(forest)) == forest
-    assert psi(psi_inverse(comb)).encode() == comb.encode()
+    assert psi(psi_inverse(comb)) == comb
+
+
+def test_deep_trees_compare_and_hash():
+    one, two = _right_comb(5000), _right_comb(5000)
+    assert one.root is not two.root
+    assert one == two and hash(one) == hash(two)
+    assert len({one, two}) == 1
+    assert one != _right_comb(4999)
+    assert one != MAryTree(3, one.root)
+    assert MAryTree(2, ((LEAF, LEAF), LEAF)) != MAryTree(2, (LEAF, (LEAF, LEAF)))
 
 
 def test_enumerate_forests_counts():
