@@ -6,17 +6,20 @@ dense polynomial in the statistic variable x, ``PolySeries`` a power series
 in the size variable t truncated at a fixed order, with ``Poly``
 coefficients.
 
-On top of the two value types the module provides the closed forms used as
-right-hand sides by the identity checks (``rhs_binomial_poly``,
-``rhs_product_poly``), and coefficient-recurrence solvers for two
-first-order series equations::
+On top of the two value types the module provides coefficient-recurrence
+solvers for two first-order series equations::
 
     W' = x*W^(b+1) + a*t*W^b*W'                 (solve_omega / closed_omega)
     F' = x*F^(b+s+1) + (a+s*x)*t*F^(b+s)*F'     (solve_phi / closed_phi)
 
 where the prime is d/dt.  The first is the s = 0 case of the second, and
 the second is the fixed point F(t) = W(t*F(t)^s) of the first, which
-``series_compose_scaled`` can verify directly.
+``series_compose_scaled`` can verify directly.  Each right-hand side of the
+identity checks is ``closed_phi`` at one (a, b, s), built by one loop, ``_phi``:
+
+    rhs_binomial_poly(m, n)                       (-1, 0, m)        at x
+    rhs_product_poly("thm1_1_eq16", m, n)         (1-m, 1, m-1)     at x+1
+    rhs_product_poly("thm1_2_eq51a", m, n, s)     (s-m-1, -1, m+1)  at x+1
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -212,17 +215,6 @@ class PolySeries:
     def __reduce__(self):
         return (PolySeries, (self.coeffs, self.order))
 
-    @classmethod
-    def zero(cls, order: int) -> "PolySeries":
-        return cls([], order=order)
-
-    @classmethod
-    def constant(cls, value: Union[Poly, Scalar], order: int) -> "PolySeries":
-        return cls([value], order=order)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySeries):
             return NotImplemented
@@ -268,7 +260,7 @@ class PolySeries:
     def __pow__(self, exponent: int) -> "PolySeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a nonnegative integer")
-        result = PolySeries.constant(ONE, self.order)
+        result = PolySeries([ONE], order=self.order)
         for _ in range(exponent):
             result = result * self
         return result
@@ -306,68 +298,65 @@ def series_compose_scaled(outer: PolySeries, inner: PolySeries, s: int) -> PolyS
     outer._match(inner)
     order = outer.order
     arg = (inner**s).mul_t().truncate(order)
-    result = PolySeries.zero(order)
+    result = PolySeries([], order=order)
     for k in range(order, -1, -1):
-        result = result * arg + PolySeries.constant(outer.coeffs[k], order)
+        result = result * arg + PolySeries([outer.coeffs[k]], order=order)
     return result
+
+
+def _phi(a: int, b: int, s: int, n: int, shift: int) -> Poly:
+    """(y/n!) * prod_{i=1..n-1} (a*i + (b*(n-i) + s*n + 1)*y) at y = x + shift; ONE for n = 0."""
+    if n == 0:
+        return ONE
+    coeffs = [shift, 1]
+    for i in range(1, n):
+        k = b * (n - i) + s * n + 1
+        c0 = a * i + k * shift
+        coeffs = [c0 * lo + k * hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    return Poly(Fraction(c, math.factorial(n)) for c in coeffs)
 
 
 def rhs_binomial_poly(m: int, n: int) -> Poly:
     """The closed form (1/(mn+1)) * C((mn+1)*x, n) as a polynomial in x.
 
-    C(y, n) is the falling-factorial binomial y*(y-1)*...*(y-n+1)/n!.
-    Degree exactly n for n >= 1; the constant 1 for n = 0.
+    C(y, n) is the falling-factorial binomial y*(y-1)*...*(y-n+1)/n!; phi
+    at (-1, 0, m), x.  Degree exactly n for n >= 1; the constant 1 for n = 0.
     """
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
-    top = m * n + 1
-    prod = ONE
-    for j in range(n):
-        prod = prod * Poly([-j, top])
-    return prod * Fraction(1, top * math.factorial(n))
+    return _phi(-1, 0, m, n, 0)
 
 
 def rhs_product_poly(family: str, m: int, n: int, s: int = 0) -> Poly:
     """Product-of-linear-factors closed forms, one per identity family.
 
     thm1_1_eq16:   ((x+1)/n!) * prod_{i=1..n-1} ((mn+1-i)(x+1) - (m-1)i),
-                   for m >= 2 (s is ignored).
+                   for m >= 2 (s is ignored); phi at (1-m, 1, m-1), x+1.
     thm1_2_eq51a:  ((x+1)/n!) * prod_{i=1..n-1} ((mn+i+1)(x+1) - (m-s+1)i),
-                   for m >= 1 and 0 <= s <= m.
+                   for m >= 1 and 0 <= s <= m; phi at (s-m-1, -1, m+1), x+1.
 
     Both return the constant 1 for n = 0.
     """
     if family == "thm1_1_eq16":
         if m < 2:
             raise ValueError(f"thm1_1_eq16 needs m >= 2, got {m}")
+        a, b, phi_s = 1 - m, 1, m - 1
     elif family == "thm1_2_eq51a":
         if m < 1 or not 0 <= s <= m:
             raise ValueError(f"thm1_2_eq51a needs m >= 1 and 0 <= s <= m, got m={m}, s={s}")
+        a, b, phi_s = s - m - 1, -1, m + 1
     else:
         raise ValueError(f"unknown product family {family!r}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return ONE
-    prod = Poly([1, 1])
-    for i in range(1, n):
-        if family == "thm1_1_eq16":
-            k = m * n + 1 - i
-            prod = prod * Poly([k - (m - 1) * i, k])
-        else:
-            k = m * n + i + 1
-            prod = prod * Poly([k - (m - s + 1) * i, k])
-    return prod * Fraction(1, math.factorial(n))
+    return _phi(a, b, phi_s, n, 1)
 
 
 def closed_phi(a: int, b: int, s: int, n: int) -> Poly:
     """Coefficient n of the fixed-point series: (x/n!) * prod_{i=1..n-1} (a*i + b*(n-i)*x + (s*n+1)*x)."""
     if n < 1:
         raise ValueError(f"closed form defined for n >= 1, got {n}")
-    prod = X
-    for i in range(1, n):
-        prod = prod * Poly([a * i, b * (n - i) + s * n + 1])
-    return prod * Fraction(1, math.factorial(n))
+    return _phi(a, b, s, n, 0)
 
 
 def solve_phi(a: int, b: int, s: int, order: int) -> PolySeries:

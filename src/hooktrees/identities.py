@@ -392,10 +392,8 @@ def check_recurrence_thm1_1(m: int, n: int) -> VerificationReport:
         conv = partial ** (m - 1)
         acc = ZERO
         for j in range(k):
-            hook = j + 1
-            root = Poly(
-                [Fraction(1 - hook, (m - 1) * hook), Fraction(m * hook - 1, (m - 1) * hook)]
-            )
+            c1, c0, d = FAMILY_TABLE["thm1_1_eq1_7"].factor(m, 0, j + 1)
+            root = Poly([Fraction(c0, d), Fraction(c1, d)])
             acc = acc + root * conv.coeffs[j] * memo[k - 1 - j]
         memo.append(acc)
     direct, visited = _lhs("thm1_1_eq1_7", m, n, None)

@@ -219,7 +219,7 @@ def _children(m: int, comp: tuple[int, ...], start: int, small: list[list[Node]]
 PlaneNode = tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PlaneForest:
     """A linearly ordered sequence of plane trees.
 
@@ -230,14 +230,26 @@ class PlaneForest:
 
     trees: tuple[PlaneNode, ...] = ()
 
-    def vertex_count(self) -> int:
-        total = 0
+    # As for MAryTree; child counts in one fixed traversal order determine a forest.
+    def __eq__(self, other):
+        if not isinstance(other, PlaneForest):
+            return NotImplemented
+        return self._child_counts() == other._child_counts()
+
+    def __hash__(self) -> int:
+        return hash((self.trees,))
+
+    def _child_counts(self) -> list[int]:
+        out = [len(self.trees)]
         stack = list(self.trees)
         while stack:
             node = stack.pop()
-            total += 1
+            out.append(len(node))
             stack.extend(node)
-        return total
+        return out
+
+    def vertex_count(self) -> int:
+        return len(self._child_counts()) - 1
 
 
 def psi(forest: PlaneForest) -> MAryTree:

@@ -153,6 +153,19 @@ def test_rhs_product_poly_second_kind():
         rhs_product_poly("nope", 2, 2)
 
 
+def test_closed_forms_are_phi_coefficients():
+    # Each closed form is closed_phi at one (a, b, s), the product forms at
+    # x + 1; composing with X + 1 runs the shift through Poly.__call__.
+    y = X + 1
+    for m in range(1, 7):
+        for n in range(1, 13):
+            assert rhs_binomial_poly(m, n) == closed_phi(-1, 0, m, n)
+            if m >= 2:
+                assert rhs_product_poly("thm1_1_eq16", m, n) == closed_phi(1 - m, 1, m - 1, n)(y)
+            for s in range(m + 1):
+                assert rhs_product_poly("thm1_2_eq51a", m, n, s) == closed_phi(s - m - 1, -1, m + 1, n)(y)
+
+
 def test_series_construction_and_equality():
     s = PolySeries([1, X], order=2)
     assert s.coeffs == (ONE, X, ZERO)

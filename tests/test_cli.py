@@ -235,9 +235,41 @@ COR1_NOTE = "note=cor1_first needs m >= 2, got 1"
             "n,coefficients,closed_form,match\n"
             "0,1,1,true\n1,0 1,0 1,true\n2,0 1/2 1,0 1/2 1,true\n",
         ),
+        (
+            ["verify", "--family", "thm1_1_eq1_6", "--m", "3", "--n-max", "4", "--format", "csv"],
+            0,
+            "family,m,n,S,pass,lhs,rhs,trees_visited,elapsed_ms\n"
+            "thm1_1_eq1_6,3,0,,true,1,1,1,0\n"
+            "thm1_1_eq1_6,3,1,,true,1 1,1 1,1,0\n"
+            "thm1_1_eq1_6,3,2,,true,2 5 3,2 5 3,3,0\n"
+            "thm1_1_eq1_6,3,3,,true,14/3 20 82/3 12,14/3 20 82/3 12,12,0\n"
+            "thm1_1_eq1_6,3,4,,true,35/3 439/6 493/3 947/6 55,35/3 439/6 493/3 947/6 55,55,0\n",
+        ),
+        (
+            ["verify", "--family", "thm1_2_eq5_1a", "--m", "2", "--S", "1", "--n-max", "4",
+             "--format", "csv"],
+            0,
+            "family,m,n,S,pass,lhs,rhs,trees_visited,elapsed_ms\n"
+            "thm1_2_eq5_1a,2,0,1,true,1,1,1,0\n"
+            "thm1_2_eq5_1a,2,1,1,true,1 1,1 1,1,0\n"
+            "thm1_2_eq5_1a,2,2,1,true,2 5 3,2 5 3,3,0\n"
+            "thm1_2_eq5_1a,2,3,1,true,5 62/3 83/3 12,5 62/3 83/3 12,12,0\n"
+            "thm1_2_eq5_1a,2,4,1,true,14 163/2 174 323/2 55,14 163/2 174 323/2 55,55,0\n",
+        ),
+        (
+            ["verify", "--family", "duliu_1_2a", "--m", "2", "--n-max", "4", "--format", "csv"],
+            0,
+            "family,m,n,S,pass,lhs,rhs,trees_visited,elapsed_ms\n"
+            "duliu_1_2a,2,0,,true,1,1,1,0\n"
+            "duliu_1_2a,2,1,,true,0 1,0 1,1,0\n"
+            "duliu_1_2a,2,2,,true,0 -1/2 5/2,0 -1/2 5/2,3,0\n"
+            "duliu_1_2a,2,3,,true,0 1/3 -7/2 49/6,0 1/3 -7/2 49/6,12,0\n"
+            "duliu_1_2a,2,4,,true,0 -1/4 33/8 -81/4 243/8,0 -1/4 33/8 -81/4 243/8,55,0\n",
+        ),
     ],
     ids=["cor2_first-text", "cor2_first-json", "cor2_first-csv", "cor1_first-m1-text",
-         "cor1_first-m1-csv", "phi-s2-text", "phi-s2-csv", "omega-csv"],
+         "cor1_first-m1-csv", "phi-s2-text", "phi-s2-csv", "omega-csv",
+         "eq1_6-csv", "eq5_1a-csv", "duliu_1_2a-csv"],
 )
 def test_verify_and_series_output_is_pinned(capsys, argv, expected_code, expected):
     assert run(capsys, *argv) == (expected_code, expected, "")

@@ -218,6 +218,13 @@ def _right_comb(size):
     return MAryTree(2, node)
 
 
+def _path(size):
+    node = ()
+    for _ in range(size - 1):
+        node = (node,)
+    return node
+
+
 def test_psi_round_trips_long_right_spines():
     forest = PlaneForest(((),) * 5000)
     comb = _right_comb(5000)
@@ -236,6 +243,12 @@ def test_deep_trees_compare_and_hash():
     assert one != _right_comb(4999)
     assert one != MAryTree(3, one.root)
     assert MAryTree(2, ((LEAF, LEAF), LEAF)) != MAryTree(2, (LEAF, (LEAF, LEAF)))
+    first, second = PlaneForest((_path(5000),)), PlaneForest((_path(5000),))
+    assert first.trees[0] is not second.trees[0]
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert first != PlaneForest((_path(4999),))
+    assert PlaneForest(((), ((),))) != PlaneForest((((),), ()))
 
 
 def test_enumerate_forests_counts():
