@@ -5,7 +5,8 @@ complete m-ary tree every internal node is an m-tuple.  A plane tree node
 is a tuple of arbitrarily many children, and a plane forest a linearly
 ordered tuple of plane trees.  Sharing the one node vocabulary keeps the
 forest <-> binary-tree bijection (``psi`` / ``psi_inverse``) a few lines
-each: a loop along the right spine, recursing only into children.
+each: ``psi`` writes the image's code from an explicit stack, and
+``psi_inverse`` loops along the right spine, recursing only into left children.
 
 Enumeration is streaming: memory stays proportional to the tree depth
 plus the lists of all subtrees of each size that has at most
@@ -42,12 +43,15 @@ class MAryTree:
     arity: int
     root: Node = LEAF
 
-    # Equality compares codes: comparing the nested root tuples recurses in C
-    # and raises RecursionError on trees deeper than about 1,000 levels.
+    # Equality and repr read the code: comparing or printing nested root tuples
+    # recurses in C and raises RecursionError deeper than about 1,000 levels.
     def __eq__(self, other):
         if not isinstance(other, MAryTree):
             return NotImplemented
         return self.arity == other.arity and self.encode() == other.encode()
+
+    def __repr__(self) -> str:
+        return f"MAryTree(arity={self.arity}, code={self.encode()!r})"
 
     def __hash__(self) -> int:
         return hash((self.arity, self.root))
@@ -230,7 +234,7 @@ class PlaneForest:
 
     trees: tuple[PlaneNode, ...] = ()
 
-    # As for MAryTree; child counts in one fixed traversal order determine a forest.
+    # As for MAryTree; the child counts in preorder determine a forest.
     def __eq__(self, other):
         if not isinstance(other, PlaneForest):
             return NotImplemented
@@ -239,13 +243,17 @@ class PlaneForest:
     def __hash__(self) -> int:
         return hash((self.trees,))
 
+    def __repr__(self) -> str:
+        return f"PlaneForest(child_counts={self._child_counts()})"
+
     def _child_counts(self) -> list[int]:
+        """The number of trees, then each vertex's child count in preorder."""
         out = [len(self.trees)]
-        stack = list(self.trees)
+        stack = list(reversed(self.trees))
         while stack:
             node = stack.pop()
             out.append(len(node))
-            stack.extend(node)
+            stack.extend(reversed(node))
         return out
 
     def vertex_count(self) -> int:
@@ -261,15 +269,17 @@ def psi(forest: PlaneForest) -> MAryTree:
     forest.  The vertex count of the forest equals the internal-vertex
     count of the image.
     """
-    return MAryTree(2, _psi(forest.trees))
-
-
-def _psi(trees: tuple) -> Node:
-    # Siblings loop along the right spine, so only nesting deepens the recursion.
-    node = LEAF
-    for tree in reversed(trees):
-        node = (_psi(tree), node)
-    return node
+    # The image's preorder code, from an explicit stack: each vertex writes a
+    # 1, then the code of its children's forest; every forest ends in a 0.
+    code, stack = [], ["0", *reversed(forest.trees)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            code.append(item)
+        else:
+            code.append("1")
+            stack.extend(["0", *reversed(item)])
+    return decode("".join(code), 2)
 
 
 def psi_inverse(tree: MAryTree) -> PlaneForest:

@@ -104,6 +104,35 @@ def test_poly_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+wide_polys = st.lists(
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12), max_size=6
+).map(Poly)
+
+
+def _naive_product(p, q):
+    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+@given(st.one_of(polys, wide_polys), st.one_of(polys, wide_polys))
+def test_poly_mul_equals_a_fraction_convolution(p, q):
+    product = p * q
+    assert product == _naive_product(p, q)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def test_poly_mul_edge_operands():
+    big = Poly([Fraction(1, 10**18 + 9), Fraction(-7, 3 * 10**12), Fraction(5, 6)])
+    for p, q in [
+        (ZERO, big), (big, ZERO), (Poly([3]), big), (big, Poly([Fraction(-2, 7)])),
+        (Poly([-1, -half]), Poly([Fraction(-1, 3), 1])), (big, big), (X, big),
+    ]:
+        assert p * q == _naive_product(p, q)
+
+
 @given(polys, small_fractions)
 def test_poly_eval_is_ring_homomorphism(p, point):
     q = Poly([1, 2, 1])
@@ -185,6 +214,53 @@ def test_series_derivative():
 
 def test_series_pow():
     assert PolySeries([1, 1], order=2) ** 2 == PolySeries([1, 2, 1])
+
+
+def _series_product(f, g, order):
+    return [sum((f[i] * g[k - i] for i in range(k + 1)), ZERO) for k in range(order + 1)]
+
+
+def _series_power(g, e, order):
+    out = [ONE] + [ZERO] * order
+    for _ in range(e):
+        out = _series_product(out, g, order)
+    return out
+
+
+@given(
+    st.sampled_from([ONE, Poly([Fraction(-3, 2)]), ZERO, Poly([half, 2])]),
+    st.lists(polys, max_size=5),
+    st.integers(0, 6),
+)
+def test_series_pow_equals_repeated_products(head, tail, e):
+    # Constant terms 1 and -3/2 take Miller's recurrence; 0 and 1/2 + 2x the products.
+    g = [head] + tail
+    order = len(tail)
+    assert (PolySeries(g) ** e).coeffs == tuple(_series_power(g, e, order))
+
+
+@given(st.lists(polys, min_size=1, max_size=6), st.data(), st.integers(0, 4))
+def test_series_compose_scaled_equals_full_horner(outer, data, s):
+    order = len(outer) - 1
+    inner = data.draw(st.lists(polys, min_size=order + 1, max_size=order + 1))
+    inner[0] = data.draw(st.sampled_from([ONE, Poly([Fraction(2, 3)]), ZERO, inner[0]]))
+    arg = [ZERO] + _series_power(inner, s, order)[:order]
+    result = [ZERO] * (order + 1)
+    for k in range(order, -1, -1):
+        result = _series_product(result, arg, order)
+        result[0] = result[0] + outer[k]
+    got = series_compose_scaled(PolySeries(outer), PolySeries(inner), s)
+    assert got.coeffs == tuple(result)
+
+
+def test_solve_phi_matches_closed_phi_at_order_12():
+    for a in range(1, 4):
+        for b in range(1, 4):
+            for s in range(4):
+                series = solve_phi(a, b, s, 12)
+                assert series.coeffs[0] == ONE
+                for n in range(1, 13):
+                    assert series.coeffs[n] == closed_phi(a, b, s, n), (a, b, s, n)
 
 
 def test_series_mul_t_and_truncate():

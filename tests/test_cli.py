@@ -181,6 +181,27 @@ COR2_FIRST = ["verify", "--family", "cor2_first", "--m", "2", "--S", "1,2", "--n
 COR1_FIRST_M1 = ["verify", "--family", "cor1_first", "--m", "1", "--n-max", "1"]
 PHI_S2 = ["series", "--solver", "phi", "--a", "1", "--b", "2", "--s", "2", "--order", "2"]
 COR1_NOTE = "note=cor1_first needs m >= 2, got 1"
+PHI_333 = ["series", "--solver", "phi", "--a", "3", "--b", "3", "--s", "3", "--order", "8"]
+# [t^n] phi at (a, b, s) = (3, 3, 3), lowest power of x first; solver and closed
+# form agree, so each list is both the coefficients and the closed_form.
+PHI_333_COEFFS = [
+    ["1"],
+    ["0", "1"],
+    ["0", "3/2", "5"],
+    ["0", "3", "45/2", "104/3"],
+    ["0", "27/4", "663/8", "1131/4", "836/3"],
+    ["0", "81/5", "5679/20", "62943/40", "67679/20", "7315/3"],
+    ["0", "81/2", "37521/40", "591507/80", "512083/20", "795813/20", "202895/9"],
+    ["0", "729/7", "424521/140", "4414941/140", "86526639/560", "107448017/280", "6505193/14",
+     "1949900/9"],
+    ["0", "2187/8", "1546209/160", "20208069/160", "520841727/640", "455230713/160",
+     "875318269/160", "649476163/120", "19284511/9"],
+]
+PHI_333_JSON = json.dumps(
+    [{"n": n, "coefficients": cs, "closed_form": cs, "match": True}
+     for n, cs in enumerate(PHI_333_COEFFS)],
+    indent=2,
+) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -266,10 +287,48 @@ COR1_NOTE = "note=cor1_first needs m >= 2, got 1"
             "duliu_1_2a,2,3,,true,0 1/3 -7/2 49/6,0 1/3 -7/2 49/6,12,0\n"
             "duliu_1_2a,2,4,,true,0 -1/4 33/8 -81/4 243/8,0 -1/4 33/8 -81/4 243/8,55,0\n",
         ),
+        (
+            PHI_333,
+            0,
+            "t^0: 1  match=True\n"
+            "t^1: x  match=True\n"
+            "t^2: 5x^2 + (3/2)x  match=True\n"
+            "t^3: (104/3)x^3 + (45/2)x^2 + 3x  match=True\n"
+            "t^4: (836/3)x^4 + (1131/4)x^3 + (663/8)x^2 + (27/4)x  match=True\n"
+            "t^5: (7315/3)x^5 + (67679/20)x^4 + (62943/40)x^3 + (5679/20)x^2 + (81/5)x"
+            "  match=True\n"
+            "t^6: (202895/9)x^6 + (795813/20)x^5 + (512083/20)x^4 + (591507/80)x^3"
+            " + (37521/40)x^2 + (81/2)x  match=True\n"
+            "t^7: (1949900/9)x^7 + (6505193/14)x^6 + (107448017/280)x^5 + (86526639/560)x^4"
+            " + (4414941/140)x^3 + (424521/140)x^2 + (729/7)x  match=True\n"
+            "t^8: (19284511/9)x^8 + (649476163/120)x^7 + (875318269/160)x^6"
+            " + (455230713/160)x^5 + (520841727/640)x^4 + (20208069/160)x^3"
+            " + (1546209/160)x^2 + (2187/8)x  match=True\n",
+        ),
+        (PHI_333 + ["--format", "json"], 0, PHI_333_JSON),
+        (
+            ["series", "--solver", "omega", "--a", "2", "--b", "3", "--order", "8",
+             "--format", "csv"],
+            0,
+            "n,coefficients,closed_form,match\n"
+            "0,1,1,true\n"
+            "1,0 1,0 1,true\n"
+            "2,0 1 2,0 1 2,true\n"
+            "3,0 4/3 6 14/3,0 4/3 6 14/3,true\n"
+            "4,0 2 89/6 53/2 35/3,0 2 89/6 53/2 35/3,true\n"
+            "5,0 16/5 512/15 1528/15 1552/15 91/3,0 16/5 512/15 1528/15 1552/15 91/3,true\n"
+            "6,0 16/3 3406/45 9851/30 50357/90 1891/5 728/9,"
+            "0 16/3 3406/45 9851/30 50357/90 1891/5 728/9,true\n"
+            "7,0 64/7 5744/35 301096/315 249668/105 849946/315 139366/105 1976/9,"
+            "0 64/7 5744/35 301096/315 249668/105 849946/315 139366/105 1976/9,true\n"
+            "8,0 16 2454/7 163973/63 4398965/504 3649145/252 6022319/504 1142069/252 5434/9,"
+            "0 16 2454/7 163973/63 4398965/504 3649145/252 6022319/504 1142069/252 5434/9,true\n",
+        ),
     ],
     ids=["cor2_first-text", "cor2_first-json", "cor2_first-csv", "cor1_first-m1-text",
          "cor1_first-m1-csv", "phi-s2-text", "phi-s2-csv", "omega-csv",
-         "eq1_6-csv", "eq5_1a-csv", "duliu_1_2a-csv"],
+         "eq1_6-csv", "eq5_1a-csv", "duliu_1_2a-csv", "phi-333-text", "phi-333-json",
+         "omega-23-csv"],
 )
 def test_verify_and_series_output_is_pinned(capsys, argv, expected_code, expected):
     assert run(capsys, *argv) == (expected_code, expected, "")

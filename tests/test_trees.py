@@ -1,5 +1,6 @@
 """Tree/forest enumeration, preorder codes, and the forest bijection."""
 
+import sys
 from itertools import islice
 
 import pytest
@@ -249,6 +250,24 @@ def test_deep_trees_compare_and_hash():
     assert len({first, second}) == 1
     assert first != PlaneForest((_path(4999),))
     assert PlaneForest(((), ((),))) != PlaneForest((((),), ()))
+    assert repr(one) == f"MAryTree(arity=2, code='{'10' * 5000}0')"
+    assert repr(first) == f"PlaneForest(child_counts={[1] * 5000 + [0]})"
+    assert repr(MAryTree(2, ((LEAF, LEAF), LEAF))) == "MAryTree(arity=2, code='11000')"
+    assert repr(PlaneForest(((), ((),)))) == "PlaneForest(child_counts=[2, 0, 1, 0])"
+
+
+def test_psi_maps_a_deep_path_and_round_trips():
+    forest = PlaneForest((_path(5000),))
+    left_comb = decode("1" * 5000 + "0" * 5001, 2)
+    assert psi(forest) == left_comb
+    # psi_inverse still recurses once per left child, so the way back needs
+    # a stack deeper than the default limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 6000)
+    try:
+        assert psi_inverse(psi(forest)) == forest
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_enumerate_forests_counts():
