@@ -4,12 +4,12 @@ Coefficients are ``fractions.Fraction`` throughout, so every operation is
 exact; there is no floating point anywhere in this package.  ``Poly`` is a
 dense polynomial in the statistic variable x, ``PolySeries`` a power series
 in the size variable t truncated at a fixed order, with ``Poly``
-coefficients.  Three kernels do less exact work for the same results:
-``Poly.__mul__`` sums integer numerators over each operand's lcm denominator
-and divides once per coefficient; ``_miller_step`` extends a power G^e by one
-coefficient (J.C.P. Miller's recurrence), dividing only by the rational
-constant G_0; ``series_compose_scaled`` skips the Horner coefficients that
-cannot reach the truncated result.
+coefficients.  Every exact sum of products in the package goes through one
+kernel: ``_times`` multiplies integer numerator lists and ``_exact_sum`` adds
+(denominator, numerator list) terms, building one Fraction per coefficient.
+``_dot``, coefficient k of sum_j w_j*A_j*B_(k-j), is the one series step on
+it: ``_convolve``, ``_miller_step`` (Miller's power recurrence) and
+``solve_phi`` call it.
 
 On top of the two value types the module provides coefficient-recurrence
 solvers for two first-order series equations::
@@ -83,13 +83,7 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _exact_sum([_numerators(self), _numerators(other)])
 
     __radd__ = __add__
 
@@ -113,17 +107,8 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return ZERO
-        da, a = _numerators(self.coeffs)
-        db, b = _numerators(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        den = da * db
-        return Poly([Fraction(c, den) for c in out])
+        (da, a), (db, b) = _numerators(self), _numerators(other)
+        return _exact_sum([(da * db, _times(a, b))])
 
     __rmul__ = __mul__
 
@@ -173,13 +158,45 @@ class Poly:
         return text
 
 
-def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """(d, [c*d for c in coeffs]) with d the lcm of the denominators."""
-    # Unpack a list, not a generator: a tuple built from a generator bypasses
-    # the tuple free list on allocation but joins it when freed, filling it
-    # to its cap, which raised the series workload's peak RSS by about 7%.
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+def _numerators(p: Poly) -> tuple[int, list[int]]:
+    """(d, [c*d for c in p.coeffs]) with d the lcm of the denominators."""
+    # Unpack a list into math.lcm (also in _exact_sum), not a generator: a tuple
+    # built from a generator bypasses the tuple free list on allocation but joins
+    # it when freed, filling it to its cap; that raised the series peak RSS by ~7%.
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer coefficient lists (their convolution); [] is zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            for i, ca in enumerate(a, j):
+                out[i] += ca * cb
+    return out
+
+
+def _exact_sum(terms: Iterable[tuple[int, list[int]]]) -> Poly:
+    """The Poly sum of the terms (d, [c_0, c_1, ...]), each (c_0 + c_1*x + ...)/d, d != 0.
+
+    Integer numerators add per d, then over the lcm of the d: no gcd is paid per term.
+    """
+    buckets: dict[int, list[int]] = {}
+    for den, num in terms:
+        acc = buckets.setdefault(den, [])
+        acc += [0] * (len(num) - len(acc))
+        for i, c in enumerate(num):
+            acc[i] += c
+    lcm = math.lcm(*list(buckets))
+    out = [0] * max(map(len, buckets.values()), default=0)
+    for den, acc in buckets.items():
+        scale = lcm // den
+        for i, c in enumerate(acc):
+            out[i] += c * scale
+    return Poly([Fraction(c, lcm) for c in out])
 
 
 def _coerce(value) -> Poly | None:
@@ -296,15 +313,32 @@ class PolySeries:
         return f"PolySeries({[str(c) for c in self.coeffs]}, order={self.order})"
 
 
+def _dot(a, b, ks: Iterable[int], weights=None) -> list[Poly]:
+    """Coefficient k of sum_j w_j * A_j * B_(k-j), for each k in ``ks``.
+
+    j runs over the indices where A_j and B_(k-j) exist.  ``a`` and ``b`` are
+    Poly sequences, converted to numerators once; ``weights[j]`` is w_j as a
+    (denominator, numerator list) pair, all 1 if omitted.
+    """
+    na, nb = list(map(_numerators, a)), list(map(_numerators, b))
+    out = []
+    for k in ks:
+        terms = []
+        for j in range(max(0, k - len(nb) + 1), min(k + 1, len(na))):
+            (da, ca), (db, cb) = na[j], nb[k - j]
+            if ca and cb:
+                num = _times(ca, cb)
+                if weights is not None:
+                    dw, cw = weights[j]
+                    da, num = da * dw, _times(cw, num)
+                terms.append((da * db, num))
+        out.append(_exact_sum(terms))
+    return out
+
+
 def _convolve(a, b, size: int) -> list[Poly]:
     """The first ``size`` coefficients of the product of two coefficient sequences."""
-    out = [ZERO] * size
-    for i, x in enumerate(a[:size]):
-        if x.coeffs:
-            for j, y in enumerate(b[: size - i]):
-                if y.coeffs:
-                    out[i + j] = out[i + j] + x * y
-    return out
+    return _dot(a[:size], b[:size], range(size))
 
 
 def _miller_step(g, power: list[Poly], e: int) -> Poly:
@@ -313,15 +347,11 @@ def _miller_step(g, power: list[Poly], e: int) -> Poly:
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), read off G*P' = e*G'*P:
     P_k = (1/(k*G_0)) * sum_{j=1..k} ((e+1)*j - k) * G_j * P_(k-j), with P_0 = G_0^e.
     """
-    k = len(power)
+    k, g0 = len(power), g[0].coeffs[0]
     if k == 0:
-        return Poly([g[0].coeffs[0] ** e])
-    acc = ZERO
-    for j in range(1, k + 1):
-        weight = (e + 1) * j - k
-        if weight and g[j].coeffs and power[k - j].coeffs:
-            acc = acc + g[j] * weight * power[k - j]
-    return acc * (Fraction(1, k) / g[0].coeffs[0])
+        return Poly([g0**e])
+    weights = [(k * g0.numerator, [((e + 1) * j - k) * g0.denominator]) for j in range(k + 1)]
+    return _dot(g[: k + 1], power, [k], weights)[0]
 
 
 def series_compose_scaled(outer: PolySeries, inner: PolySeries, s: int) -> PolySeries:
@@ -349,12 +379,11 @@ def _phi(a: int, b: int, s: int, n: int, shift: int) -> Poly:
     """(y/n!) * prod_{i=1..n-1} (a*i + (b*(n-i) + s*n + 1)*y) at y = x + shift; ONE for n = 0."""
     if n == 0:
         return ONE
-    coeffs = [shift, 1]
+    num = [shift, 1]
     for i in range(1, n):
         k = b * (n - i) + s * n + 1
-        c0 = a * i + k * shift
-        coeffs = [c0 * lo + k * hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
-    return Poly(Fraction(c, math.factorial(n)) for c in coeffs)
+        num = _times(num, [a * i + k * shift, k])
+    return _exact_sum([(math.factorial(n), num)])
 
 
 def rhs_binomial_poly(m: int, n: int) -> Poly:
@@ -414,14 +443,12 @@ def solve_phi(a: int, b: int, s: int, order: int) -> PolySeries:
         raise ValueError(f"need a, b >= 1 and s >= 0; got a={a}, b={b}, s={s}")
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
-    mult = Poly([a, s])
     coeffs: list[Poly] = [ONE]
     power: list[Poly] = []
     for n in range(1, order + 1):
         power.append(_miller_step(coeffs, power, b + s))
-        terms = [power[j] * coeffs[n - 1 - j] for j in range(n)]
-        weighted = sum((term * (n - 1 - j) for j, term in enumerate(terms[:-1])), ZERO)
-        coeffs.append((X * sum(terms, ZERO) + mult * weighted) * Fraction(1, n))
+        weights = [(n, [a * (n - 1 - j), 1 + s * (n - 1 - j)]) for j in range(n)]
+        coeffs += _dot(power, coeffs, [n - 1], weights)
     return PolySeries(coeffs, order=order)
 
 

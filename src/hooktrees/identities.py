@@ -66,7 +66,9 @@ from .algebra import (
     ONE,
     Poly,
     PolySeries,
-    ZERO,
+    _dot,
+    _exact_sum,
+    _times,
     rhs_binomial_poly,
     rhs_product_poly,
     series_compose_scaled,
@@ -249,69 +251,26 @@ def _validated(spec: IdentitySpec) -> IdentitySpec:
 
 
 # ---------------------------------------------------------------------------
-# Summation engine.
-#
-# A tree's product of per-vertex factors depends only on the multiset of its
-# hook values, and a universe has few distinct multisets (4,862 binary trees
-# with 9 internal vertices have 95 standard-hook multisets).  So each item is
-# reduced to its sorted hook tuple and counted, and each product is built
-# once per distinct multiset with the count as its starting numerator.  A
-# product of linear factors (c1*x + c0)/d is kept as an integer numerator
-# coefficient list plus an integer denominator, bucketed by denominator;
-# each bucket is converted to Fractions once at the end.  Items of one
-# universe always contribute the same number of factors, so all numerators
-# in a bucket share a length.
+# Summation engine.  A tree's product of per-vertex factors depends only on
+# the multiset of its hook values, and a universe has few distinct multisets
+# (4,862 binary trees with 9 internal vertices have 95 standard-hook
+# multisets).  So each item is reduced to its sorted hook tuple and counted,
+# each product is built once per distinct multiset with the count as its
+# starting numerator, and ``algebra._exact_sum`` adds the products.
 # ---------------------------------------------------------------------------
 
 
-def _multiset_counts(universe, values_of) -> Counter:
-    return Counter(tuple(sorted(values_of(item))) for item in universe)
-
-
-def _poly_sum(universe, values_of, table, n: int) -> tuple[Poly, int]:
-    counts = _multiset_counts(universe, values_of)
-    buckets: dict[int, list[int]] = {}
+def _multiset_sum(universe, values_of, table) -> tuple[Poly, int]:
+    """The sum of the products of the (d, numerators) factors ``table[h]``, and the item count."""
+    counts = Counter(tuple(sorted(values_of(item))) for item in universe)
+    terms = []
     for values, count in counts.items():
-        num = [count]
-        den = 1
+        den, num = 1, [count]
         for h in values:
-            c1, c0, d = table[h]
-            den *= d
-            new = [num[0] * c0]
-            for k in range(1, len(num)):
-                new.append(num[k] * c0 + num[k - 1] * c1)
-            new.append(num[-1] * c1)
-            num = new
-        acc = buckets.get(den)
-        if acc is None:
-            buckets[den] = num
-        else:
-            for k in range(n + 1):
-                acc[k] += num[k]
-    coeffs = [Fraction(0)] * (n + 1)
-    for den, num in buckets.items():
-        for k, c in enumerate(num):
-            if c:
-                coeffs[k] += Fraction(c, den)
-    return Poly(coeffs), counts.total()
-
-
-# Numeric sums stay apart from _poly_sum: a zero sum must render as "0", and
-# a zero Poly renders as no coefficients.  cor2_first, m = 2, S = {1,2}, n >= 1
-# sums to 0: every tree has a vertex with hbb = 1, whose factor m-s-1+1/hbb is 0.
-def _numeric_sum(universe, values_of, table) -> tuple[Fraction, int]:
-    counts = _multiset_counts(universe, values_of)
-    buckets: dict[int, int] = {}
-    for values, count in counts.items():
-        num = count
-        den = 1
-        for h in values:
-            c0, d = table[h]
-            num *= c0
-            den *= d
-        buckets[den] = buckets.get(den, 0) + num
-    total = sum((Fraction(num, den) for den, num in buckets.items()), Fraction(0))
-    return total, counts.total()
+            d, factor = table[h]
+            den, num = den * d, _times(num, factor)
+        terms.append((den, num))
+    return _exact_sum(terms), counts.total()
 
 
 def _hook_values(kind: str, S: frozenset[int] | None) -> Callable:
@@ -332,13 +291,14 @@ def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[
     row = FAMILY_TABLE[family]
     s = len(S or ())
     universe = enumerate_forests(n) if row.arity is None else enumerate_trees(row.arity(m), n)
-    # Hooks are >= 1, so entry 0 is never read; its length tells numeric
-    # (c0, d) factors from polynomial (c1, c0, d) ones.
-    table = [row.factor(m, s, h) for h in range(n + 1)]
-    if len(table[0]) == 2:
-        total, visited = _numeric_sum(universe, _hook_values(row.hooks, S), table)
-    else:
-        total, visited = _poly_sum(universe, _hook_values(row.hooks, S), table, n)
+    # (c1*x + c0)/d as (d, [c0, c1]), c0/d as (d, [c0]); hooks are >= 1, so entry 0 is unread.
+    table = [(d, cs[::-1]) for *cs, d in (row.factor(m, s, h) for h in range(n + 1))]
+    total, visited = _multiset_sum(universe, _hook_values(row.hooks, S), table)
+    if len(table[0][1]) == 1:
+        # A numeric row is read at x = 0 so that a zero sum renders "0", not the zero
+        # Poly's empty coefficient list: cor2_first, m = 2, S = {1,2}, n >= 1 sums to 0
+        # (every tree has a vertex with hbb = 1, whose factor m-s-1+1/hbb is 0).
+        total = total(0)
     if row.scale is not None:
         total = row.scale(n) * total
     return total, visited
@@ -386,16 +346,13 @@ def check_recurrence_thm1_1(m: int, n: int) -> VerificationReport:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = perf_counter()
+    # roots[j] is the root's factor (c1*x + c0)/d at hook value j+1, as (d, [c0, c1]).
+    factors = (FAMILY_TABLE["thm1_1_eq1_7"].factor(m, 0, j + 1) for j in range(n))
+    roots = [(d, [c0, c1]) for c1, c0, d in factors]
     memo: list[Poly] = [ONE]
     for k in range(1, n + 1):
-        partial = PolySeries(memo, order=k - 1)
-        conv = partial ** (m - 1)
-        acc = ZERO
-        for j in range(k):
-            c1, c0, d = FAMILY_TABLE["thm1_1_eq1_7"].factor(m, 0, j + 1)
-            root = Poly([Fraction(c0, d), Fraction(c1, d)])
-            acc = acc + root * conv.coeffs[j] * memo[k - 1 - j]
-        memo.append(acc)
+        conv = PolySeries(memo, order=k - 1) ** (m - 1)
+        memo += _dot(conv.coeffs, memo, [k - 1], roots)
     direct, visited = _lhs("thm1_1_eq1_7", m, n, None)
     spec = IdentitySpec("recurrence_thm1_1", m=m, n=n)
     passed = direct == memo[n]

@@ -6,7 +6,7 @@ is a tuple of arbitrarily many children, and a plane forest a linearly
 ordered tuple of plane trees.  Sharing the one node vocabulary keeps the
 forest <-> binary-tree bijection (``psi`` / ``psi_inverse``) a few lines
 each: ``psi`` writes the image's code from an explicit stack, and
-``psi_inverse`` loops along the right spine, recursing only into left children.
+``psi_inverse`` reads it back in one explicit-stack preorder walk.
 
 Enumeration is streaming: memory stays proportional to the tree depth
 plus the lists of all subtrees of each size that has at most
@@ -57,25 +57,10 @@ class MAryTree:
         return hash((self.arity, self.root))
 
     def internal_count(self) -> int:
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node:
-                total += 1
-                stack.extend(node)
-        return total
+        return self.encode().count("1")
 
     def leaf_count(self) -> int:
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node:
-                stack.extend(node)
-            else:
-                total += 1
-        return total
+        return self.encode().count("0")
 
     def encode(self) -> str:
         """Preorder code: '1' per internal vertex, '0' per leaf.
@@ -286,15 +271,19 @@ def psi_inverse(tree: MAryTree) -> PlaneForest:
     """Exact inverse of ``psi``."""
     if tree.arity != 2:
         raise ValueError(f"psi_inverse expects a binary tree, got arity {tree.arity}")
-    return PlaneForest(_psi_inv(tree.root))
-
-
-def _psi_inv(node: Node) -> tuple:
-    out = []
-    while node:
-        left, node = node
-        out.append(_psi_inv(left))
-    return tuple(out)
+    # A preorder walk reads the code psi writes: an internal vertex (a 1) opens
+    # a child list, and a leaf (a 0) closes the innermost open one.
+    lists, stack = [[]], [tree.root]
+    while stack:
+        node = stack.pop()
+        if node:
+            lists.append([])
+            stack += node[::-1]
+        else:
+            closed = tuple(lists.pop())
+            if lists:
+                lists[-1].append(closed)
+    return PlaneForest(closed)
 
 
 def enumerate_forests(vertices: int) -> Iterator[PlaneForest]:

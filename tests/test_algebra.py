@@ -12,6 +12,7 @@ from hooktrees.algebra import (
     PolySeries,
     X,
     ZERO,
+    _exact_sum,
     closed_omega,
     closed_phi,
     rhs_binomial_poly,
@@ -122,6 +123,34 @@ def test_poly_mul_equals_a_fraction_convolution(p, q):
     product = p * q
     assert product == _naive_product(p, q)
     assert all(type(c) is Fraction for c in product.coeffs)
+
+
+# Repeated and negative denominators: _miller_step divides by k*G_0, negative when G_0 < 0.
+exact_terms = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2, -2, 3, 6, -9, 10**12 + 39]),
+        st.lists(st.integers(-(10**6), 10**6), max_size=5),
+    ),
+    max_size=8,
+)
+
+
+@given(exact_terms)
+def test_exact_sum_equals_a_fraction_sum(terms):
+    naive = [Fraction(0)] * max((len(num) for _, num in terms), default=0)
+    for den, num in terms:
+        for i, c in enumerate(num):
+            naive[i] += Fraction(c, den)
+    before = [(den, list(num)) for den, num in terms]
+    total = _exact_sum(terms)
+    assert total == Poly(naive)
+    assert all(type(c) is Fraction for c in total.coeffs)
+    assert terms == before
+
+
+def test_exact_sum_of_no_terms_is_zero():
+    assert _exact_sum([]) == ZERO
+    assert _exact_sum([(5, [0, 0]), (-5, [])]) == ZERO
 
 
 def test_poly_mul_edge_operands():

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 
@@ -493,3 +494,144 @@ def test_verify_family_choices_are_the_family_table():
         action for action in commands.choices["verify"]._actions if action.dest == "family"
     )
     assert tuple(family.choices) == FAMILIES
+
+
+# sha256 of stdout, in SWEEP_FORMATS order, for every verify family at n <= 4 (m = 2 where
+# the family takes m, every subset S where it takes S) and for both solvers at order 8.  A
+# rewrite of the summation or series layers must keep all 75 outputs byte-identical.
+SWEEP_FORMATS = ("text", "json", "csv")
+SWEEP_SHA256 = {
+    "verify --family postnikov --n-max 4": (
+        "dde4956e9ff83e4b690839d56f8a924df94085d4089565c93d13759b8f734b62",
+        "534d51861e3c99b62b91f5f97db9110d78cc6bd6dcaecacf7ec4c3317eb9c8dd",
+        "c5f1ad8d0cfe001ce240c7b9c34f450ce8969ed488b7bcc50996458108b485b3",
+    ),
+    "verify --family lascoux_1_1 --n-max 4": (
+        "c4c1f12d12a1d4efc7f0b31b318836eb68d0bd5b97485a7b03a2f42effd3eee0",
+        "c36076b0b00a994dfcb81bb95e67128c11c991fe68d27cd97c1e766ded496c5c",
+        "742a934c72e75f5e97d7ae7d1bee069b5efc6c9091fc08055384a8c5adb8f530",
+    ),
+    "verify --family duliu_1_2a --n-max 4 --m 2": (
+        "11ba931263a2d3cab4cc1b45aaff032b35fce7b9b1f65025c2dfb39f1057627d",
+        "914332bd516a9fb2dee3a873fda27ef483f02d67dbe89ce712be386f97ee8a14",
+        "060f96427d425358cde2a79c00196d91799797c4e3566ce199a420cb206e9dea",
+    ),
+    "verify --family duliu_1_2b --n-max 4 --m 2": (
+        "4bd8e578b48c2eed729748d55c8514d4c5068854fa2c200d26126e6edd60b613",
+        "aed7e648abd543418174fbc42d4a51d05fede09fc8f17a1c63f4b3056c6e50d5",
+        "9499993ed695cafe19202d1367f12131ea119c7b05a0f0e055979cf5858e5b72",
+    ),
+    "verify --family forest_1_3a --n-max 4": (
+        "9dcaaa15c2fd57d5bf4ca85262d46e4a6045a3f96108dfedd1c0a6579e966337",
+        "2d3bd56f69cb3557395c5b7549bac76a2b34cf8aa534d03f517be8770306e68f",
+        "4beed014fd09a746ce806be9611b12e4dba8922363c73db3235e7352369197be",
+    ),
+    "verify --family forest_1_3b --n-max 4": (
+        "c8edd44e624a6318f6c5976af8c32c9d1cc45c9a0952157ee38a368a4bd3da2e",
+        "3c55192f866aea47b4fd2fdc0f94bd54f6b7d2eb07e69237f213c70c44b10005",
+        "a64bdbc9b15d3ea2bb4017a5ece2c194e161fd860f7b80b5d6fb9965bd2c0497",
+    ),
+    "verify --family thm1_1_eq1_6 --n-max 4 --m 2": (
+        "d9829f3bf3de903c0ccf30dd604eee26da871ab1af3d2eef8d9dc2290901d560",
+        "c77e8891fd283b2dba5c9592710767c9ae438cf08e2e88dffe23b82f363365e7",
+        "dcb7ba7b623ea95a018383305559bf6ba4c6a88db7ff93ed08a4f12b075dee55",
+    ),
+    "verify --family thm1_1_eq1_7 --n-max 4 --m 2": (
+        "ba8fc4adb29c566491e0e90d3f47db316809de497f73a4769b19565ce29c1d4c",
+        "e2a9f9b61a3d66ab3584699e094e8aaefd26e9d2043b3a9b9a9c49daf8f41885",
+        "f28d8e08c0d02118203665655bc97d00a3079d231802b8dcd7f10c46db966bce",
+    ),
+    "verify --family thm1_2_eq5_1a --n-max 4 --m 2 --S all": (
+        "51212364fe45d6847d009e4d5fb362089d8b57d584e807697d281bfd099f4f0d",
+        "7f260a5b4af2e940b52817c1fab1facf526c5237d203df7982f28659b7407d65",
+        "bb15575926a09d3df3555bf68c213e356c995925d05e3c384330d99e72a545da",
+    ),
+    "verify --family thm1_2_eq5_1b --n-max 4 --m 2 --S all": (
+        "f3513a0b8e931049735a908720eaead5e68431364da903b90be3b17e197545ed",
+        "263aeb7e29e317de8ab7cafdcbb4b883ef0a83cadc7560fe4e964d15cc0fd526",
+        "1ad968cf7f7b216331cf46dbfddf83c02f8523a7b350def11e358974ae7dc879",
+    ),
+    "verify --family cor1_first --n-max 4 --m 2": (
+        "099f1d73bbe448d11aaff41745548595d81348abd01f37ece56fda53387ae47b",
+        "d90f0854a131446b038c066602a01aa25fc363fd690081e5d29e10c0a8822fb2",
+        "a621496fb3792321d81fab70693160bc3fc795286476b16e8989ae74220cb821",
+    ),
+    "verify --family cor1_second --n-max 4 --m 2": (
+        "cd46a42c39a3d7a80996c327bbdffdc921c507e1f3f83408b63bdde470d241ac",
+        "25975ddf19258754d14fb5e07607e5dd0725866c24fa4a55f0e3221110de77e6",
+        "02dedbb30c162508b58e1e7e8ae5b51c1c1b8597b841ab59224ec413e75ab2cf",
+    ),
+    "verify --family cor2_first --n-max 4 --m 2 --S all": (
+        "f3525d4683a7f63a3225f18202cda8e5dfe89ee65f00d835d33a29a545e616ad",
+        "770cb865a777ecea3d2177caa94fa3e03769ca87a20019586ddff9f2ee21d448",
+        "74b838955456cb7cc4a04285210930afe58feb06715419d002c9719acf1503b8",
+    ),
+    "verify --family cor2_second --n-max 4 --m 2 --S all": (
+        "17885addcaee98593c2223370eaadf6e7f03b62555dd7eba57a05f8571afe209",
+        "c5f320e37cd4ecd59d807df97e018e2b37fc99a34347bad3188bc4388aaca834",
+        "de9df3e872efa12c3576cf94ed66e4177b86b5bb62a6a354526c19efa5ee4932",
+    ),
+    "verify --family cor2_third --n-max 4 --m 2 --S all": (
+        "a0db36077ef6d7125bff70a3973a4e264b4e539a223e021f92aa31b755a2d4d1",
+        "8f6603869f8c95fd7b2836b49d374b3bcce69119069c984781809c1be4011f2d",
+        "913c9adf15684e66676a4e735f2597171ea873c2e6025e8a93da9de694fbb813",
+    ),
+    "series --solver omega --a 1 --b 1 --order 8": (
+        "fcb5e0eb2d60b494448a46c3f6def5e6b79abd6ef0528ee5ad7771e5afd19192",
+        "c0d14fedd9dfdc803ae4586a81dbd1ff255d50aa9d2dacbcb6972e163a92c3f4",
+        "9443a88aab991a527c5e7230a80285a2978aeee63b7ea8acf44230231320b752",
+    ),
+    "series --solver phi --a 1 --b 1 --order 8 --s 0": (
+        "fcb5e0eb2d60b494448a46c3f6def5e6b79abd6ef0528ee5ad7771e5afd19192",
+        "c0d14fedd9dfdc803ae4586a81dbd1ff255d50aa9d2dacbcb6972e163a92c3f4",
+        "9443a88aab991a527c5e7230a80285a2978aeee63b7ea8acf44230231320b752",
+    ),
+    "series --solver phi --a 1 --b 1 --order 8 --s 1": (
+        "1ebe828cda1c03f09dea56017fbcc7aac72b0c656668eaa62f5e19600a621a36",
+        "91e1a328c005c9b492473a9fc33bfaec1a7eea87a8be84ae082425997fb4535e",
+        "955455bb46c5081f8fef09bb1ac27841c6715a611dace915d9aca639d7a98901",
+    ),
+    "series --solver phi --a 1 --b 1 --order 8 --s 2": (
+        "845a1fafc6117c64b9ef8a01c72497dd8dbba815311810b251d0eaee02910623",
+        "279abb096239ac26e84da8131e8d883f064ca0cdc36e6074a5f1a9433d3259fb",
+        "1455ccd128aaad8810266179e4e2cca1afa854656b3b4f80ac3ed1138e423ea6",
+    ),
+    "series --solver phi --a 1 --b 1 --order 8 --s 3": (
+        "0ca1031d62ad129a69763d156b58bb0f534897680225c898c70b90f0c2aafc5c",
+        "514655ec61f1799d5f1f4ef79cc58e282d5bfeaa2027ab474167116f598d2f1c",
+        "ca3620a7d7f2728bde63ad4bbcbcf8951a96fb6b66c3366a18e6990c58f13d7d",
+    ),
+    "series --solver omega --a 2 --b 3 --order 8": (
+        "47a8f912260a2c5fd36f0febda52802a1d0a68dab2b0b69fd1023ffdc1ecce78",
+        "0f2575a8f65e3d903271c30221f11a4efa6d4af081c9b59c0965dcf2f6d5a7a4",
+        "9535099694f5e87a0760707c85fa02dc2daf998c9eb51052fdf3682b1827486a",
+    ),
+    "series --solver phi --a 2 --b 3 --order 8 --s 0": (
+        "47a8f912260a2c5fd36f0febda52802a1d0a68dab2b0b69fd1023ffdc1ecce78",
+        "0f2575a8f65e3d903271c30221f11a4efa6d4af081c9b59c0965dcf2f6d5a7a4",
+        "9535099694f5e87a0760707c85fa02dc2daf998c9eb51052fdf3682b1827486a",
+    ),
+    "series --solver phi --a 2 --b 3 --order 8 --s 1": (
+        "8fbf611fc10241c8ebdfdb019f7391e1a89e07d1d0045c89b640a7c13cd8ac2d",
+        "6bef8f9d916049aad9484f1e2abd3c384eb5f8314ea40c1228ce84a71b302fab",
+        "c3bde3e0643a80337290a9e1d4b84e4a1f0adf6b3252eb2ddbc275716b80e9bb",
+    ),
+    "series --solver phi --a 2 --b 3 --order 8 --s 2": (
+        "50929ef63ce5c72fdd59c6a5969f20d9314c15c1ec25cdc8dd1bd7d5c1c03b73",
+        "aebd61a51532f4745b1053fe764d5f810709cebe5f7d17a6e65239cacae2365a",
+        "cd5d482c38af2d04e61df91a9901e059fb7cbdbd973e5b9ee0a2a97a3c277b6b",
+    ),
+    "series --solver phi --a 2 --b 3 --order 8 --s 3": (
+        "22260cfe0eb136faee151c15dc77879d237f3e6d51616c965ce887e56eac32ae",
+        "05635211e77aa30feed03efa13fbee57c4b33f4bdb60483828556292886b92da",
+        "ef6c3fc6f9f2b1dcb0614f755b0a3356b52b618dd2a06661751b0b67fc04b7b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", SWEEP_FORMATS)
+@pytest.mark.parametrize("case", list(SWEEP_SHA256))
+def test_output_sweep_is_byte_identical(capsys, case, fmt):
+    code, out, err = run(capsys, *case.split(), "--format", fmt)
+    digest = SWEEP_SHA256[case][SWEEP_FORMATS.index(fmt)]
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", digest)

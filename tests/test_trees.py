@@ -1,6 +1,5 @@
 """Tree/forest enumeration, preorder codes, and the forest bijection."""
 
-import sys
 from itertools import islice
 
 import pytest
@@ -260,14 +259,7 @@ def test_psi_maps_a_deep_path_and_round_trips():
     forest = PlaneForest((_path(5000),))
     left_comb = decode("1" * 5000 + "0" * 5001, 2)
     assert psi(forest) == left_comb
-    # psi_inverse still recurses once per left child, so the way back needs
-    # a stack deeper than the default limit.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 6000)
-    try:
-        assert psi_inverse(psi(forest)) == forest
-    finally:
-        sys.setrecursionlimit(limit)
+    assert psi_inverse(psi(forest)) == forest
 
 
 def test_enumerate_forests_counts():
