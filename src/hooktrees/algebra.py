@@ -9,7 +9,8 @@ kernel: ``_times`` multiplies integer numerator lists and ``_exact_sum`` adds
 (denominator, numerator list) terms, building one Fraction per coefficient.
 ``_dot``, coefficient k of sum_j w_j*A_j*B_(k-j), is the one series step on
 it: ``_convolve``, ``_miller_step`` (Miller's power recurrence) and
-``solve_phi`` call it.
+``solve_phi`` call it, the last two through ``_dot_numerators`` with each
+coefficient's numerators kept next to it as the series grows.
 
 On top of the two value types the module provides coefficient-recurrence
 solvers for two first-order series equations::
@@ -283,9 +284,12 @@ class PolySeries:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a nonnegative integer")
         if self.coeffs[0].degree == 0:
+            g = list(map(_numerators, self.coeffs))
             power: list[Poly] = []
+            num_power: list[tuple[int, list[int]]] = []
             while len(power) <= self.order:
-                power.append(_miller_step(self.coeffs, power, exponent))
+                power.append(_miller_step(g, num_power, exponent))
+                num_power.append(_numerators(power[-1]))
             return PolySeries(power, order=self.order)
         result = PolySeries([ONE], order=self.order)
         for _ in range(exponent):
@@ -320,12 +324,16 @@ def _dot(a, b, ks: Iterable[int], weights=None) -> list[Poly]:
     Poly sequences, converted to numerators once; ``weights[j]`` is w_j as a
     (denominator, numerator list) pair, all 1 if omitted.
     """
-    na, nb = list(map(_numerators, a)), list(map(_numerators, b))
+    return _dot_numerators(list(map(_numerators, a)), list(map(_numerators, b)), ks, weights)
+
+
+def _dot_numerators(a, b, ks: Iterable[int], weights=None) -> list[Poly]:
+    """``_dot`` on sequences already converted by ``_numerators``."""
     out = []
     for k in ks:
         terms = []
-        for j in range(max(0, k - len(nb) + 1), min(k + 1, len(na))):
-            (da, ca), (db, cb) = na[j], nb[k - j]
+        for j in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
+            (da, ca), (db, cb) = a[j], b[k - j]
             if ca and cb:
                 num = _times(ca, cb)
                 if weights is not None:
@@ -341,17 +349,18 @@ def _convolve(a, b, size: int) -> list[Poly]:
     return _dot(a[:size], b[:size], range(size))
 
 
-def _miller_step(g, power: list[Poly], e: int) -> Poly:
+def _miller_step(g, power, e: int) -> Poly:
     """Coefficient k = len(power) of P = G^e from G_0..G_k and P_0..P_(k-1), G_0 a nonzero constant.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), read off G*P' = e*G'*P:
     P_k = (1/(k*G_0)) * sum_{j=1..k} ((e+1)*j - k) * G_j * P_(k-j), with P_0 = G_0^e.
+    ``g`` and ``power`` hold (denominator, numerator list) pairs; G_0 = c/d is in lowest terms.
     """
-    k, g0 = len(power), g[0].coeffs[0]
+    k, (d, (c,)) = len(power), g[0]
     if k == 0:
-        return Poly([g0**e])
-    weights = [(k * g0.numerator, [((e + 1) * j - k) * g0.denominator]) for j in range(k + 1)]
-    return _dot(g[: k + 1], power, [k], weights)[0]
+        return Poly([Fraction(c, d) ** e])
+    weights = [(k * c, [((e + 1) * j - k) * d]) for j in range(k + 1)]
+    return _dot_numerators(g[: k + 1], power, [k], weights)[0]
 
 
 def series_compose_scaled(outer: PolySeries, inner: PolySeries, s: int) -> PolySeries:
@@ -444,11 +453,12 @@ def solve_phi(a: int, b: int, s: int, order: int) -> PolySeries:
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
     coeffs: list[Poly] = [ONE]
-    power: list[Poly] = []
+    num_coeffs, num_power = [_numerators(ONE)], []
     for n in range(1, order + 1):
-        power.append(_miller_step(coeffs, power, b + s))
+        num_power.append(_numerators(_miller_step(num_coeffs, num_power, b + s)))
         weights = [(n, [a * (n - 1 - j), 1 + s * (n - 1 - j)]) for j in range(n)]
-        coeffs += _dot(power, coeffs, [n - 1], weights)
+        coeffs += _dot_numerators(num_power, num_coeffs, [n - 1], weights)
+        num_coeffs.append(_numerators(coeffs[-1]))
     return PolySeries(coeffs, order=order)
 
 

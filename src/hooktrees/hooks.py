@@ -13,18 +13,33 @@ preorder over the internal vertices:
 
 All three follow one rule: 1 plus the values of v's children at some
 set of positions (every position for h, those outside S for hbb), with
-hcal leaving out the last child's h.  ``forest_hooks`` is the
-plane-forest analogue counting all vertices (not just internal ones),
-also a preorder list.  ``prune`` materializes the S-deletion as a tree of
-smaller arity, and ``decompose`` / ``compose`` realize the induced
-bijection between an arity-(m+1) tree and a pruned skeleton plus the
-ordered forest of deleted subtrees.
+hcal leaving out the last child's h.
+
+``forest_hooks`` is the plane-forest analogue counting all vertices (not
+just internal ones), also a preorder list.  ``prune`` materializes the
+S-deletion as a tree of smaller arity, and ``decompose`` / ``compose``
+realize the induced bijection between an arity-(m+1) tree and a pruned
+skeleton plus the ordered forest of deleted subtrees.
+
+A vertex's values depend only on its own subtree, and ``enumerate_trees``
+builds every tree of an arity from the same listed subtree objects.  So
+``_hooks`` memoizes each proper subtree it walks, keyed by ``id`` of the
+node, as (total, preorder list, node): the stored node pins the id, so a
+freed id can never be reused for a stale hit.  Keying by value would hash
+a nested tuple, which recurses in C and crashes the interpreter on deep
+trees.  Only subtrees no larger than the largest listed size are stored,
+never the root, and the list handed to the caller is always fresh.  The
+memo serves one mode (arity, pruned positions, first) at a time: a new
+mode starts an empty memo, and a memo is cleared once it holds more than
+``_SUBTREE_LIST_CAP`` entries.  An enumerated tree then costs O(arity)
+dictionary lookups plus one copy of its preorder list.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from . import trees
 from .trees import LEAF, MAryTree, Node, PlaneForest
 
 
@@ -41,34 +56,62 @@ def _position_set(positions: Iterable[int], arity: int) -> frozenset[int]:
     return s
 
 
-def _hooks(tree: MAryTree, pruned: frozenset[int], first: bool) -> list[int]:
+_NO_POSITIONS: frozenset[int] = frozenset()
+# The mode (arity, pruned, first) of the last ``_hooks`` call and its memo.  A
+# new mode gets a new dict, so a walk in another thread keeps its own.
+_state: tuple[int, frozenset[int], bool, dict] = (0, _NO_POSITIONS, False, {})
+
+
+def _hooks(tree: MAryTree, positions: Iterable[int], first: bool) -> list[int]:
     """The one m-ary hook walk, in preorder over internal vertices.
 
     A vertex's total is 1 plus the totals of its children at positions
-    outside ``pruned``; its slot holds that total, or with ``first`` the
-    total less the last child's (``pruned`` is then empty).
+    outside ``positions``; its slot holds that total, or with ``first`` the
+    total less the last child's (``positions`` is then empty).  The
+    positions are validated once per mode, not once per tree.
     """
-    out: list[int] = []
+    global _state
+    arity, pruned, mode_first, memo = state = _state
+    if tree.arity != arity or positions is not pruned or first is not mode_first:
+        pruned = _position_set(positions, tree.arity)
+        if (tree.arity, pruned, first) != state[:3]:
+            memo = {}
+        _state = (tree.arity, pruned, first, memo)
+    if not tree.root:
+        return []
+    listed = len(trees._SUBTREE_LISTS.get(tree.arity, ())) - 1
+    out = _walk(tree.root, pruned, first, listed, memo)[1]
+    if len(memo) > trees._SUBTREE_LIST_CAP:
+        memo.clear()
+    return out
 
-    def walk(node: Node) -> int:
-        slot = len(out)
-        out.append(0)
-        total = 1
-        for pos, child in enumerate(node, start=1):
-            sub = walk(child) if child else 0
+
+def _walk(
+    node: Node, pruned: frozenset[int], first: bool, listed: int, memo: dict
+) -> tuple[int, list[int]]:
+    """(total, preorder list) of ``node``, memoizing its children of at most ``listed`` vertices."""
+    out = [0]
+    total = 1
+    for pos, child in enumerate(node, start=1):
+        sub = 0
+        if child:
+            hit = memo.get(id(child))
+            if hit is None:
+                sub, below = _walk(child, pruned, first, listed, memo)
+                if len(below) <= listed:
+                    memo[id(child)] = (sub, below, child)
+            else:
+                sub, below, _ = hit
+            out += below
             if pos not in pruned:
                 total += sub
-        out[slot] = total - sub if first else total
-        return total
-
-    if tree.root:
-        walk(tree.root)
-    return out
+    out[0] = total - sub if first else total
+    return total, out
 
 
 def standard_hooks(tree: MAryTree) -> list[int]:
     """h_v = 1 + sum of h over internal children, for every internal v."""
-    return _hooks(tree, frozenset(), False)
+    return _hooks(tree, _NO_POSITIONS, False)
 
 
 def first_kind_hooks(tree: MAryTree) -> list[int]:
@@ -77,7 +120,7 @@ def first_kind_hooks(tree: MAryTree) -> list[int]:
     Equivalently h_v minus the standard hook of v's rightmost child when
     that child is internal.
     """
-    return _hooks(tree, frozenset(), True)
+    return _hooks(tree, _NO_POSITIONS, True)
 
 
 def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> list[int]:
@@ -88,7 +131,7 @@ def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> list[int]:
     would delete still get a value.  Agrees with standard hooks of
     ``prune`` applied at each vertex.
     """
-    return _hooks(tree, _position_set(positions, tree.arity), False)
+    return _hooks(tree, positions, False)
 
 
 def forest_hooks(forest: PlaneForest) -> list[int]:

@@ -10,10 +10,13 @@ each: ``psi`` writes the image's code from an explicit stack, and
 
 Enumeration is streaming: memory stays proportional to the tree depth
 plus the lists of all subtrees of each size that has at most
-``_SUBTREE_LIST_CAP`` of them, built afresh by every call, never to the
-(Fuss-Catalan sized) stream length.  The order is canonical and documented
-on ``enumerate_trees`` so streams are reproducible and can be chunked for
-parallel consumption.
+``_SUBTREE_LIST_CAP`` of them, never to the (Fuss-Catalan sized) stream
+length.  Those lists are kept per arity and extended on demand, so every
+enumeration of one arity builds its trees from the same child objects
+(which lets ``hooks`` memoize a listed subtree by identity); they hold at
+most sum_{k <= k_max} count_trees(m, k) nodes, k_max the largest listed
+size.  The order is canonical and documented on ``enumerate_trees`` so
+streams are reproducible and can be chunked for parallel consumption.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ class MAryTree:
     arity: int
     root: Node = LEAF
 
-    # Equality and repr read the code: comparing or printing nested root tuples
-    # recurses in C and raises RecursionError deeper than about 1,000 levels.
+    # Equality, hash and repr read the code: comparing or printing nested root
+    # tuples recurses in C and raises RecursionError deeper than about 1,000
+    # levels, and hashing them overflows the C stack on deep enough trees.
     def __eq__(self, other):
         if not isinstance(other, MAryTree):
             return NotImplemented
@@ -54,7 +58,7 @@ class MAryTree:
         return f"MAryTree(arity={self.arity}, code={self.encode()!r})"
 
     def __hash__(self) -> int:
-        return hash((self.arity, self.root))
+        return hash((self.arity, self.encode()))
 
     def internal_count(self) -> int:
         return self.encode().count("1")
@@ -165,17 +169,23 @@ def enumerate_trees(arity: int, internal: int) -> Iterator[MAryTree]:
 
 
 # Subtrees of every size k whose count_trees(arity, k) is at most this many
-# are listed once per enumeration, so that any root composition made only of
-# such sizes is a plain ``itertools.product`` of lists.
+# are listed, so that any root composition made only of such sizes is a plain
+# ``itertools.product`` of lists.
 _SUBTREE_LIST_CAP = 2**14
+
+# Per arity, the subtree lists of sizes 0, 1, ... built so far.
+_SUBTREE_LISTS: dict[int, list[list[Node]]] = {}
 
 
 def _subtree_lists(m: int, n: int) -> list[list[Node]]:
     """All subtrees of sizes 0..k in canonical order, for the largest k < n within the cap."""
-    small: list[list[Node]] = [[LEAF]]
-    while len(small) < n and count_trees(m, len(small)) <= _SUBTREE_LIST_CAP:
-        small.append(list(_nodes(m, len(small), small)))
-    return small
+    small = _SUBTREE_LISTS.setdefault(m, [[LEAF]])
+    k = 1
+    while k < n and count_trees(m, k) <= _SUBTREE_LIST_CAP:
+        if k == len(small):
+            small.append(list(_nodes(m, k, small)))
+        k += 1
+    return small[:k]
 
 
 def _nodes(m: int, n: int, small: list[list[Node]]) -> Iterator[Node]:
@@ -226,7 +236,7 @@ class PlaneForest:
         return self._child_counts() == other._child_counts()
 
     def __hash__(self) -> int:
-        return hash((self.trees,))
+        return hash(tuple(self._child_counts()))
 
     def __repr__(self) -> str:
         return f"PlaneForest(child_counts={self._child_counts()})"

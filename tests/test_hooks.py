@@ -1,9 +1,14 @@
 """Hook statistics, pruning, and the skeleton/forest decomposition."""
 
+import sys
+import threading
+from random import Random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hooktrees import hooks, trees
 from hooktrees.hooks import (
     compose,
     decompose,
@@ -17,6 +22,7 @@ from hooktrees.trees import (
     MAryTree,
     Node,
     PlaneForest,
+    count_trees,
     decode,
     enumerate_forests,
     enumerate_trees,
@@ -139,6 +145,116 @@ def test_hooks_agree_with_subtree_oracles(tree, data):
     assert standard_hooks(tree) == [size(node) for node in nodes]
     assert first_kind_hooks(tree) == [1 + sum(map(size, node[:-1])) for node in nodes]
     assert second_kind_hooks(tree, positions) == oracle_second_kind(tree, positions)
+
+
+def oracle_hooks(tree: MAryTree, kind: str, positions) -> list[int]:
+    nodes = internal_nodes(tree)
+
+    def size(node):
+        return MAryTree(tree.arity, node).internal_count()
+
+    if kind == "standard":
+        return [size(node) for node in nodes]
+    if kind == "first":
+        return [1 + sum(map(size, node[:-1])) for node in nodes]
+    return oracle_second_kind(tree, positions)
+
+
+HOOKS = {
+    "standard": lambda tree, positions: standard_hooks(tree),
+    "first": lambda tree, positions: first_kind_hooks(tree),
+    "second": second_kind_hooks,
+}
+
+
+@given(st.data())
+def test_interleaved_hook_calls_agree_with_the_oracles(data):
+    # Enumerated trees share their subtrees, decoded ones do not; the calls
+    # switch kind and position set (reused, equal or as another type) freely.
+    arity = data.draw(st.integers(2, 4))
+    universe = list(enumerate_trees(arity, data.draw(st.integers(0, 7 - arity))))
+    subsets = _subsets(arity - 1)
+    for _ in range(data.draw(st.integers(1, 12))):
+        if data.draw(st.booleans()):
+            tree = data.draw(st.sampled_from(universe))
+        else:
+            tree = data.draw(mary_trees(arity, arity))
+        kind = data.draw(st.sampled_from(sorted(HOOKS)))
+        positions = data.draw(st.sampled_from(subsets))
+        positions = data.draw(st.sampled_from((lambda p: p, frozenset, set, sorted)))(positions)
+        assert HOOKS[kind](tree, positions) == oracle_hooks(tree, kind, positions)
+
+
+@pytest.mark.parametrize("cap", [None, 16])
+def test_hooks_stay_right_when_trees_are_dropped(monkeypatch, cap):
+    # Decoded subtrees are memoized by id and then freed with their tree: a
+    # later tree must never get a stale hit from a reused id.
+    list(enumerate_trees(2, 8))  # lists the subtrees up to size 7
+    if cap is not None:
+        monkeypatch.setattr(trees, "_SUBTREE_LIST_CAP", cap)
+    codes = [tree.encode() for n in range(8) for tree in enumerate_trees(2, n)]
+    rng = Random(11)
+    for _ in range(600):
+        tree = decode(rng.choice(codes), 2)
+        kind = rng.choice(sorted(HOOKS))
+        positions = rng.choice(((), (1,)))
+        assert HOOKS[kind](tree, positions) == oracle_hooks(tree, kind, positions)
+        del tree
+
+
+def test_memo_stays_bounded_over_a_streamed_universe():
+    # count_trees(2, 10) is above the cap, so n = 11 streams its size-10 subtrees.
+    assert count_trees(2, 10) > trees._SUBTREE_LIST_CAP
+    for i, tree in enumerate(enumerate_trees(2, 11)):
+        values = first_kind_hooks(tree)
+        if i % 5000 == 0:
+            assert values == oracle_hooks(tree, "first", ())
+    listed = len(trees._SUBTREE_LISTS[2]) - 1
+    assert listed < 10
+    memo = hooks._state[-1]
+    assert 0 < len(memo) <= trees._SUBTREE_LIST_CAP
+    assert max(len(below) for _, below, _ in memo.values()) <= listed
+
+
+def test_hook_modes_in_threads_do_not_mix():
+    # More threads than cores, each in its own mode over one shared universe,
+    # switching often: a walk must never read another mode's memo.
+    universe = list(enumerate_trees(3, 5))
+    modes = [("standard", ()), ("first", ())] + [("second", frozenset({p})) for p in (1, 2)]
+    expected = {mode: [oracle_hooks(tree, *mode) for tree in universe] for mode in modes}
+    wrong = []
+
+    def work(kind, positions):
+        for _ in range(4):
+            if [HOOKS[kind](tree, positions) for tree in universe] != expected[kind, positions]:
+                wrong.append(kind)
+
+    workers = [threading.Thread(target=work, args=mode) for mode in modes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == []
+
+
+def test_hook_lists_are_fresh_and_positions_checked_per_arity():
+    tree = next(enumerate_trees(2, 6))
+    values = standard_hooks(tree)
+    values[0] = 0
+    values.append(99)
+    assert standard_hooks(tree) == oracle_hooks(tree, "standard", ())
+    three = frozenset({3})
+    assert second_kind_hooks(decode("10000", 4), three) == [1]
+    with pytest.raises(ValueError):
+        second_kind_hooks(decode("11000", 2), three)
+    with pytest.raises(ValueError):
+        second_kind_hooks(decode("10000", 4), {3.0})
 
 
 def _subsets(m):

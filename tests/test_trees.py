@@ -1,6 +1,10 @@
 """Tree/forest enumeration, preorder codes, and the forest bijection."""
 
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -116,6 +120,20 @@ def test_enumeration_matches_the_reference_enumerator(monkeypatch, cap, limit):
             if count_trees(arity, n) <= limit:
                 roots = [tree.root for tree in enumerate_trees(arity, n)]
                 assert roots == _reference_nodes(arity, n), (arity, n)
+
+
+def test_subtree_lists_are_kept_and_cut_to_the_current_cap(monkeypatch):
+    built = trees._subtree_lists(2, 10)
+    assert [len(level) for level in built] == [count_trees(2, k) for k in range(10)]
+    again = trees._subtree_lists(2, 6)
+    assert len(again) == 6 and all(a is b for a, b in zip(again, built))
+    assert trees._subtree_lists(2, 0) == [[LEAF]]
+    # every enumeration of an arity builds its trees from the same child objects
+    first, second = enumerate_trees(2, 7), enumerate_trees(2, 7)
+    assert all(a.root[0] is b.root[0] and a.root[1] is b.root[1] for a, b in zip(first, second))
+    # a lower cap streams the sizes above it, whatever was listed before
+    monkeypatch.setattr(trees, "_SUBTREE_LIST_CAP", 0)
+    assert trees._subtree_lists(2, 8) == [[LEAF]]
 
 
 def test_enumeration_is_lazy():
@@ -253,6 +271,27 @@ def test_deep_trees_compare_and_hash():
     assert repr(first) == f"PlaneForest(child_counts={[1] * 5000 + [0]})"
     assert repr(MAryTree(2, ((LEAF, LEAF), LEAF))) == "MAryTree(arity=2, code='11000')"
     assert repr(PlaneForest(((), ((),)))) == "PlaneForest(child_counts=[2, 0, 1, 0])"
+
+
+def test_hash_of_a_million_deep_tree_and_forest_does_not_crash():
+    # Hashing nested root tuples this deep overflowed the C stack and killed the
+    # interpreter, so the check runs in a child process.
+    script = (
+        "from hooktrees.trees import PlaneForest, decode\n"
+        "tree = decode('1' * 10**6 + '0' * (10**6 + 1), 2)\n"
+        "node = ()\n"
+        "for _ in range(10**6):\n"
+        "    node = (node,)\n"
+        "print(type(hash(tree)).__name__, type(hash(PlaneForest((node,)))).__name__)\n"
+    )
+    src = str(Path(trees.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["int", "int"]
 
 
 def test_psi_maps_a_deep_path_and_round_trips():
