@@ -4,13 +4,13 @@ Coefficients are ``fractions.Fraction`` throughout, so every operation is
 exact; there is no floating point anywhere in this package.  ``Poly`` is a
 dense polynomial in the statistic variable x, ``PolySeries`` a power series
 in the size variable t truncated at a fixed order, with ``Poly``
-coefficients.  Every exact sum of products in the package goes through one
-kernel: ``_times`` multiplies integer numerator lists and ``_exact_sum`` adds
-(denominator, numerator list) terms, building one Fraction per coefficient.
-``_dot``, coefficient k of sum_j w_j*A_j*B_(k-j), is the one series step on
-it: ``_convolve``, ``_miller_step`` (Miller's power recurrence) and
-``solve_phi`` call it, the last two through ``_dot_numerators`` with each
-coefficient's numerators kept next to it as the series grows.
+coefficients.  Each ``Poly`` also holds its value as ``pair``, (d, integer
+numerators), built once.  Every exact sum of products in the package goes
+through one kernel on pairs: ``_times`` multiplies numerator lists and
+``_exact_sum`` adds (d, numerator list) terms into a Poly, handing it the
+pair it already has.  ``_dot``, coefficient k of sum_j w_j*A_j*B_(k-j), is
+the one series step on it: series products, composition, ``_miller_step``
+(Miller's power recurrence) and ``solve_phi`` call it on plain Poly lists.
 
 On top of the two value types the module provides coefficient-recurrence
 solvers for two first-order series equations::
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -42,20 +42,28 @@ Scalar = Union[int, Fraction]
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x**i.  The representation is
-    canonical: no trailing zero coefficients (the zero polynomial has an
-    empty coefficient tuple and degree -1).  Instances are immutable.
+    ``coeffs[i]`` is the coefficient of x**i, with no trailing zeros (the zero
+    polynomial has an empty tuple and degree -1).  ``pair`` is the same value
+    as integers, (d, nums): d > 0 is the lcm of the coefficients'
+    denominators and nums the tuple of c*d, so gcd(d, *nums) == 1; ZERO's
+    pair is (1, ()).  Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "pair")
 
     coeffs: tuple[Fraction, ...]
+    pair: tuple[int, tuple[int, ...]]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
+        # Unpack a list into math.lcm (also in _exact_sum), not a generator: a tuple
+        # built from a generator bypasses the tuple free list on allocation but joins
+        # it when freed, filling it to its cap; that raised the series peak RSS by ~7%.
+        d = math.lcm(*[c.denominator for c in cs])
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "pair", (d, tuple([c.numerator * d // c.denominator for c in cs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -84,7 +92,7 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _exact_sum([_numerators(self), _numerators(other)])
+        return _exact_sum([self.pair, other.pair])
 
     __radd__ = __add__
 
@@ -108,7 +116,7 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        (da, a), (db, b) = _numerators(self), _numerators(other)
+        (da, a), (db, b) = self.pair, other.pair
         return _exact_sum([(da * db, _times(a, b))])
 
     __rmul__ = __mul__
@@ -159,16 +167,7 @@ class Poly:
         return text
 
 
-def _numerators(p: Poly) -> tuple[int, list[int]]:
-    """(d, [c*d for c in p.coeffs]) with d the lcm of the denominators."""
-    # Unpack a list into math.lcm (also in _exact_sum), not a generator: a tuple
-    # built from a generator bypasses the tuple free list on allocation but joins
-    # it when freed, filling it to its cap; that raised the series peak RSS by ~7%.
-    den = math.lcm(*[c.denominator for c in p.coeffs])
-    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
-
-
-def _times(a: list[int], b: list[int]) -> list[int]:
+def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The product of two integer coefficient lists (their convolution); [] is zero."""
     if len(a) < len(b):
         a, b = b, a
@@ -180,10 +179,11 @@ def _times(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _exact_sum(terms: Iterable[tuple[int, list[int]]]) -> Poly:
+def _exact_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> Poly:
     """The Poly sum of the terms (d, [c_0, c_1, ...]), each (c_0 + c_1*x + ...)/d, d != 0.
 
-    Integer numerators add per d, then over the lcm of the d: no gcd is paid per term.
+    Integer numerators add per d, then over the lcm of the d: no gcd is paid per
+    term, and one gcd reduces the total to the result's ``pair``.
     """
     buckets: dict[int, list[int]] = {}
     for den, num in terms:
@@ -197,7 +197,13 @@ def _exact_sum(terms: Iterable[tuple[int, list[int]]]) -> Poly:
         scale = lcm // den
         for i, c in enumerate(acc):
             out[i] += c * scale
-    return Poly([Fraction(c, lcm) for c in out])
+    while out and not out[-1]:
+        out.pop()
+    g = math.gcd(lcm, *out)
+    total = object.__new__(Poly)
+    object.__setattr__(total, "coeffs", tuple([Fraction(c, lcm) for c in out]))
+    object.__setattr__(total, "pair", (lcm // g, tuple([c // g for c in out])))
+    return total
 
 
 def _coerce(value) -> Poly | None:
@@ -276,7 +282,7 @@ class PolySeries:
         if not isinstance(other, PolySeries):
             return NotImplemented
         self._match(other)
-        return PolySeries(_convolve(self.coeffs, other.coeffs, self.order + 1), order=self.order)
+        return PolySeries(_dot(self.coeffs, other.coeffs, range(self.order + 1)), order=self.order)
 
     __rmul__ = __mul__
 
@@ -284,12 +290,9 @@ class PolySeries:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a nonnegative integer")
         if self.coeffs[0].degree == 0:
-            g = list(map(_numerators, self.coeffs))
             power: list[Poly] = []
-            num_power: list[tuple[int, list[int]]] = []
             while len(power) <= self.order:
-                power.append(_miller_step(g, num_power, exponent))
-                num_power.append(_numerators(power[-1]))
+                power.append(_miller_step(self.coeffs, power, exponent))
             return PolySeries(power, order=self.order)
         result = PolySeries([ONE], order=self.order)
         for _ in range(exponent):
@@ -317,23 +320,18 @@ class PolySeries:
         return f"PolySeries({[str(c) for c in self.coeffs]}, order={self.order})"
 
 
-def _dot(a, b, ks: Iterable[int], weights=None) -> list[Poly]:
+def _dot(a: Sequence[Poly], b: Sequence[Poly], ks: Iterable[int], weights=None) -> list[Poly]:
     """Coefficient k of sum_j w_j * A_j * B_(k-j), for each k in ``ks``.
 
-    j runs over the indices where A_j and B_(k-j) exist.  ``a`` and ``b`` are
-    Poly sequences, converted to numerators once; ``weights[j]`` is w_j as a
-    (denominator, numerator list) pair, all 1 if omitted.
+    j runs over the indices where A_j and B_(k-j) exist, so no index above k
+    is read.  ``weights[j]`` is w_j as a (denominator, numerator list) pair,
+    all 1 if omitted.
     """
-    return _dot_numerators(list(map(_numerators, a)), list(map(_numerators, b)), ks, weights)
-
-
-def _dot_numerators(a, b, ks: Iterable[int], weights=None) -> list[Poly]:
-    """``_dot`` on sequences already converted by ``_numerators``."""
     out = []
     for k in ks:
         terms = []
         for j in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
-            (da, ca), (db, cb) = a[j], b[k - j]
+            (da, ca), (db, cb) = a[j].pair, b[k - j].pair
             if ca and cb:
                 num = _times(ca, cb)
                 if weights is not None:
@@ -344,23 +342,18 @@ def _dot_numerators(a, b, ks: Iterable[int], weights=None) -> list[Poly]:
     return out
 
 
-def _convolve(a, b, size: int) -> list[Poly]:
-    """The first ``size`` coefficients of the product of two coefficient sequences."""
-    return _dot(a[:size], b[:size], range(size))
-
-
 def _miller_step(g, power, e: int) -> Poly:
     """Coefficient k = len(power) of P = G^e from G_0..G_k and P_0..P_(k-1), G_0 a nonzero constant.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), read off G*P' = e*G'*P:
     P_k = (1/(k*G_0)) * sum_{j=1..k} ((e+1)*j - k) * G_j * P_(k-j), with P_0 = G_0^e.
-    ``g`` and ``power`` hold (denominator, numerator list) pairs; G_0 = c/d is in lowest terms.
+    ``g`` and ``power`` are Poly sequences; G_0 = c/d in lowest terms is its ``pair``.
     """
-    k, (d, (c,)) = len(power), g[0]
+    k, (d, (c,)) = len(power), g[0].pair
     if k == 0:
         return Poly([Fraction(c, d) ** e])
     weights = [(k * c, [((e + 1) * j - k) * d]) for j in range(k + 1)]
-    return _dot_numerators(g[: k + 1], power, [k], weights)[0]
+    return _dot(g, power, [k], weights)[0]
 
 
 def series_compose_scaled(outer: PolySeries, inner: PolySeries, s: int) -> PolySeries:
@@ -379,7 +372,7 @@ def series_compose_scaled(outer: PolySeries, inner: PolySeries, s: int) -> PolyS
     arg = (inner**s).mul_t().coeffs
     result: list[Poly] = []
     for k in range(order, -1, -1):
-        result = _convolve(result, arg, order - k + 1)
+        result = _dot(result, arg, range(order - k + 1))
         result[0] = result[0] + outer.coeffs[k]
     return PolySeries(result, order=order)
 
@@ -452,13 +445,11 @@ def solve_phi(a: int, b: int, s: int, order: int) -> PolySeries:
         raise ValueError(f"need a, b >= 1 and s >= 0; got a={a}, b={b}, s={s}")
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
-    coeffs: list[Poly] = [ONE]
-    num_coeffs, num_power = [_numerators(ONE)], []
+    coeffs, power = [ONE], []
     for n in range(1, order + 1):
-        num_power.append(_numerators(_miller_step(num_coeffs, num_power, b + s)))
+        power.append(_miller_step(coeffs, power, b + s))
         weights = [(n, [a * (n - 1 - j), 1 + s * (n - 1 - j)]) for j in range(n)]
-        coeffs += _dot_numerators(num_power, num_coeffs, [n - 1], weights)
-        num_coeffs.append(_numerators(coeffs[-1]))
+        coeffs += _dot(power, coeffs, [n - 1], weights)
     return PolySeries(coeffs, order=order)
 
 

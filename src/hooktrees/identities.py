@@ -68,6 +68,7 @@ from .algebra import (
     PolySeries,
     _dot,
     _exact_sum,
+    _miller_step,
     _times,
     rhs_binomial_poly,
     rhs_product_poly,
@@ -337,9 +338,9 @@ def check_recurrence_thm1_1(m: int, n: int) -> VerificationReport:
     the root compositions (i_1, ..., i_m) of n-1 by j = i_1 + ... + i_(m-1);
     the root vertex contributes the eq1_7 factor at hook value j+1, the
     first m-1 subtrees contribute [t^j] of the (m-1)-th power of the partial
-    generating series, the last subtree the sum at size n-1-j.  The base of
-    the recurrence route is the constant 1, so the two routes share nothing
-    but the closed forms they are checked against elsewhere.
+    generating series, one Miller step per size, the last subtree the sum at
+    size n-1-j.  The recurrence route starts from the constant 1, so the two
+    routes share nothing but the closed forms they are checked against.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
@@ -349,10 +350,10 @@ def check_recurrence_thm1_1(m: int, n: int) -> VerificationReport:
     # roots[j] is the root's factor (c1*x + c0)/d at hook value j+1, as (d, [c0, c1]).
     factors = (FAMILY_TABLE["thm1_1_eq1_7"].factor(m, 0, j + 1) for j in range(n))
     roots = [(d, [c0, c1]) for c1, c0, d in factors]
-    memo: list[Poly] = [ONE]
+    memo, power = [ONE], []
     for k in range(1, n + 1):
-        conv = PolySeries(memo, order=k - 1) ** (m - 1)
-        memo += _dot(conv.coeffs, memo, [k - 1], roots)
+        power.append(_miller_step(memo, power, m - 1))
+        memo += _dot(power, memo, [k - 1], roots)
     direct, visited = _lhs("thm1_1_eq1_7", m, n, None)
     spec = IdentitySpec("recurrence_thm1_1", m=m, n=n)
     passed = direct == memo[n]

@@ -1,5 +1,7 @@
 """Polynomial / series arithmetic and the closed-form solvers."""
 
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from hooktrees.algebra import (
     PolySeries,
     X,
     ZERO,
+    _dot,
     _exact_sum,
     closed_omega,
     closed_phi,
@@ -153,6 +156,63 @@ def test_exact_sum_of_no_terms_is_zero():
     assert _exact_sum([(5, [0, 0]), (-5, [])]) == ZERO
 
 
+def _assert_canonical_pair(p):
+    d, nums = p.pair
+    assert type(nums) is tuple
+    assert d > 0 and math.gcd(d, *nums) == 1
+    assert d == math.lcm(*[c.denominator for c in p.coeffs])
+    assert tuple(Fraction(c, d) for c in nums) == p.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs) and p.coeffs[-1:] != (0,)
+
+
+@given(st.one_of(polys, wide_polys), st.one_of(polys, wide_polys), small_fractions, exact_terms)
+def test_pair_is_canonical_and_has_the_value_of_coeffs(p, q, c, terms):
+    assert ZERO.pair == (1, ()) and X.pair == (1, (0, 1))
+    assert _exact_sum([(-4, [2, 6])]).pair == (2, (-1, -3))
+    cancelled = _exact_sum(terms + [(-den, num) for den, num in terms])
+    assert cancelled.pair == (1, ()) and (p - p).pair == (1, ())
+    made = [
+        p, Poly(p.coeffs + (0,)), _exact_sum(terms), cancelled, p + q, p - q, -p, p * c, c * p,
+        p * -3, p * 0, p * q, p + c, c - p, pickle.loads(pickle.dumps(p)),
+    ]
+    for r in made:
+        _assert_canonical_pair(r)
+    with pytest.raises(AttributeError):
+        p.pair = (1, ())
+
+
+# Weights as _miller_step builds them: denominator k*c is negative when G_0 = c/d < 0.
+weight_terms = st.tuples(
+    st.sampled_from([1, 2, -2, 3, -9, 10**12 + 39]), st.lists(st.integers(-50, 50), max_size=3)
+)
+
+
+def _naive_dot(a, b, k, weights):
+    out: list[Fraction] = []
+    for j in range(len(a)):
+        if 0 <= k - j < len(b):
+            w = ONE if weights is None else Poly([Fraction(c, weights[j][0]) for c in weights[j][1]])
+            term = _naive_product(_naive_product(w, a[j]), b[k - j]).coeffs
+            out += [Fraction(0)] * (len(term) - len(out))
+            for i, c in enumerate(term):
+                out[i] += c
+    return Poly(out)
+
+
+@given(
+    st.lists(st.one_of(polys, wide_polys), max_size=5),
+    st.lists(st.one_of(polys, wide_polys), max_size=5),
+    st.lists(st.integers(0, 10), max_size=6),
+    st.data(),
+)
+def test_dot_equals_a_fraction_sum(a, b, ks, data):
+    weights = data.draw(st.none() | st.lists(weight_terms, min_size=len(a), max_size=len(a)))
+    got = _dot(a, b, ks, weights)
+    assert got == [_naive_dot(a, b, k, weights) for k in ks]
+    for p in got:
+        _assert_canonical_pair(p)
+
+
 def test_poly_mul_edge_operands():
     big = Poly([Fraction(1, 10**18 + 9), Fraction(-7, 3 * 10**12), Fraction(5, 6)])
     for p, q in [
@@ -170,8 +230,6 @@ def test_poly_eval_is_ring_homomorphism(p, point):
 
 
 def test_poly_pickle_roundtrip():
-    import pickle
-
     p = Poly([half, -3])
     assert pickle.loads(pickle.dumps(p)) == p
     s = PolySeries([ONE, X], order=3)
