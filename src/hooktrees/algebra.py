@@ -1,16 +1,18 @@
 """Exact univariate polynomials and truncated power series.
 
-Coefficients are ``fractions.Fraction`` throughout, so every operation is
-exact; there is no floating point anywhere in this package.  ``Poly`` is a
-dense polynomial in the statistic variable x, ``PolySeries`` a power series
-in the size variable t truncated at a fixed order, with ``Poly``
-coefficients.  Each ``Poly`` also holds its value as ``pair``, (d, integer
-numerators), built once.  Every exact sum of products in the package goes
-through one kernel on pairs: ``_times`` multiplies numerator lists and
-``_exact_sum`` adds (d, numerator list) terms into a Poly, handing it the
-pair it already has.  ``_dot``, coefficient k of sum_j w_j*A_j*B_(k-j), is
-the one series step on it: series products, composition, ``_miller_step``
-(Miller's power recurrence) and ``solve_phi`` call it on plain Poly lists.
+Every operation is exact, on ``int`` and ``fractions.Fraction``; there is
+no floating point anywhere in this package.  ``Poly`` is a dense polynomial
+in the statistic variable x, ``PolySeries`` a power series in the size
+variable t truncated at a fixed order, with ``Poly`` coefficients.  A
+``Poly``'s value is its ``pair``, (d, integer numerators); its ``Fraction``
+coefficients, ``coeffs``, are built from the pair on first read and kept,
+so only printing and callers that want Fractions pay for them.  Every exact
+sum of products in the package goes through one kernel on pairs: ``_times``
+multiplies numerator lists and ``_exact_sum`` adds (d, numerator list) terms
+into a Poly, handing it the pair it already has.  ``_dot``, coefficient k of
+sum_j w_j*A_j*B_(k-j), is the one series step on it: series products,
+composition, ``_miller_step`` (Miller's power recurrence) and ``solve_phi``
+call it on plain Poly lists.
 
 On top of the two value types the module provides coefficient-recurrence
 solvers for two first-order series equations::
@@ -27,7 +29,9 @@ identity checks is ``closed_phi`` at one (a, b, s), built by one loop, ``_phi``:
     rhs_product_poly("thm1_1_eq16", m, n)         (1-m, 1, m-1)     at x+1
     rhs_product_poly("thm1_2_eq51a", m, n, s)     (s-m-1, -1, m+1)  at x+1
 
-All values are immutable; every function is pure and thread-safe.
+All values are immutable; every function is pure and thread-safe.  Two
+threads that read a ``Poly``'s ``coeffs`` first at the same time may both
+build it, but they store equal tuples, so neither can tell.
 """
 
 from __future__ import annotations
@@ -42,16 +46,17 @@ Scalar = Union[int, Fraction]
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x**i, with no trailing zeros (the zero
-    polynomial has an empty tuple and degree -1).  ``pair`` is the same value
-    as integers, (d, nums): d > 0 is the lcm of the coefficients'
-    denominators and nums the tuple of c*d, so gcd(d, *nums) == 1; ZERO's
-    pair is (1, ()).  Instances are immutable.
+    The value is ``pair`` = (d, nums), integers: coefficient i, of x**i, is
+    nums[i]/d, with d > 0 the lcm of the coefficients' denominators, so
+    gcd(d, *nums) == 1, and no trailing zero in nums (the zero polynomial
+    has pair (1, ()) and degree -1).  Arithmetic, comparison, hashing,
+    evaluation and pickling read only the pair.  ``coeffs``, the tuple of
+    ``Fraction`` coefficients, is built on first read and kept.  Instances
+    are immutable.
     """
 
-    __slots__ = ("coeffs", "pair")
+    __slots__ = ("pair", "_coeffs")
 
-    coeffs: tuple[Fraction, ...]
     pair: tuple[int, tuple[int, ...]]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
@@ -62,31 +67,44 @@ class Poly:
         # built from a generator bypasses the tuple free list on allocation but joins
         # it when freed, filling it to its cap; that raised the series peak RSS by ~7%.
         d = math.lcm(*[c.denominator for c in cs])
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", tuple(cs))
         object.__setattr__(self, "pair", (d, tuple([c.numerator * d // c.denominator for c in cs])))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            d, nums = self.pair
+            cs = tuple([Fraction(c, d) for c in nums])
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        return (Poly, (self.coeffs,))
+        d, nums = self.pair
+        return (_from_pair, (d, list(nums)))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.pair[1]) - 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.pair == other.pair
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly([other]).coeffs
+            return self.pair == (other.denominator, (other.numerator,) if other else ())
         return NotImplemented
 
     def __hash__(self):
         # A constant hashes like the scalar it equals, ZERO like 0.
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
+        d, nums = self.pair
+        if len(nums) > 1:
+            return hash(self.pair)
+        return hash(Fraction(nums[0], d) if nums else 0)
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
@@ -97,7 +115,8 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        d, nums = self.pair
+        return _from_pair(d, [-c for c in nums])
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -112,12 +131,14 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
+        da, a = self.pair
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            p = other.numerator
+            return _from_pair(da * other.denominator, [c * p for c in a])
         if not isinstance(other, Poly):
             return NotImplemented
-        (da, a), (db, b) = self.pair, other.pair
-        return _exact_sum([(da * db, _times(a, b))])
+        db, b = other.pair
+        return _from_pair(da * db, _times(a, b))
 
     __rmul__ = __mul__
 
@@ -129,12 +150,26 @@ class Poly:
             result = result * self
         return result
 
-    def __call__(self, point: Scalar) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+    def __call__(self, point: Scalar | Poly) -> Fraction | Poly:
+        """Exact Horner evaluation at a rational point, or composition with a Poly.
+
+        At p/q the Horner steps run on the integer numerators and one Fraction
+        is built at the end.
+        """
+        d, nums = self.pair
+        if isinstance(point, Poly):
+            acc = ZERO
+            for c in reversed(nums):
+                acc = acc * point + c
+            return acc * Fraction(1, d)
+        if not nums:
+            return Fraction(0)
+        p, q = point.numerator, point.denominator
+        acc, scale = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, d * scale)
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -167,6 +202,20 @@ class Poly:
         return text
 
 
+def _from_pair(d: int, nums: list[int]) -> Poly:
+    """The Poly (nums[0] + nums[1]*x + ...)/d, d > 0, reduced to its canonical ``pair``.
+
+    Trailing zeros are popped off ``nums`` in place, so callers pass a list of their own.
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(d, *nums)
+    poly = object.__new__(Poly)
+    pair = (d, tuple(nums)) if g == 1 else (d // g, tuple([c // g for c in nums]))
+    object.__setattr__(poly, "pair", pair)
+    return poly
+
+
 def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The product of two integer coefficient lists (their convolution); [] is zero."""
     if len(a) < len(b):
@@ -197,20 +246,14 @@ def _exact_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> Poly:
         scale = lcm // den
         for i, c in enumerate(acc):
             out[i] += c * scale
-    while out and not out[-1]:
-        out.pop()
-    g = math.gcd(lcm, *out)
-    total = object.__new__(Poly)
-    object.__setattr__(total, "coeffs", tuple([Fraction(c, lcm) for c in out]))
-    object.__setattr__(total, "pair", (lcm // g, tuple([c // g for c in out])))
-    return total
+    return _from_pair(lcm, out)
 
 
 def _coerce(value) -> Poly | None:
     if isinstance(value, Poly):
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly([value])
+        return _from_pair(value.denominator, [value.numerator])
     return None
 
 
@@ -351,7 +394,7 @@ def _miller_step(g, power, e: int) -> Poly:
     """
     k, (d, (c,)) = len(power), g[0].pair
     if k == 0:
-        return Poly([Fraction(c, d) ** e])
+        return _from_pair(d**e, [c**e])
     weights = [(k * c, [((e + 1) * j - k) * d]) for j in range(k + 1)]
     return _dot(g, power, [k], weights)[0]
 

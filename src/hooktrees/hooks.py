@@ -139,7 +139,9 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
 
     Preorder across the whole forest, trees left to right; a childless
     vertex counts, unlike an m-ary leaf, so this walk is the forest's own.
-    The root of each component tree gets that tree's vertex count.
+    The root of each component tree gets that tree's vertex count.  The
+    recursive walk is the fast path; a forest too deep for it is walked
+    again from an explicit stack.
     """
     out: list[int] = []
 
@@ -152,9 +154,55 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
         out[slot] = total
         return total
 
-    for tree in forest.trees:
-        walk(tree)
+    try:
+        for tree in forest.trees:
+            walk(tree)
+    except RecursionError:
+        return _deep_forest_hooks(forest)
     return out
+
+
+def _deep_forest_hooks(forest: PlaneForest) -> list[int]:
+    """``forest_hooks`` without recursion: a preorder pass, then totals in reverse preorder."""
+    out: list[int] = []
+    parents: list[int] = []
+    stack = [(tree, -1) for tree in reversed(forest.trees)]
+    while stack:
+        node, parent = stack.pop()
+        slot = len(out)
+        out.append(1)
+        parents.append(parent)
+        stack.extend((child, slot) for child in reversed(node))
+    for v in range(len(out) - 1, 0, -1):
+        if parents[v] >= 0:
+            out[parents[v]] += out[v]
+    return out
+
+
+def _rebuild(root: Node, expand) -> Node:
+    """Map a tree bottom-up from an explicit stack, so depth costs no recursion.
+
+    ``expand(node)`` is called on each internal node in preorder and returns
+    (children to map, a function building the new node from their images);
+    a leaf maps to a leaf.
+    """
+    if not root:
+        return LEAF
+    stack = [(*expand(root), [])]
+    while True:
+        children, build, images = stack[-1]
+        if len(images) < len(children):
+            child = children[len(images)]
+            if child:
+                stack.append((*expand(child), []))
+            else:
+                images.append(LEAF)
+            continue
+        stack.pop()
+        node = build(images)
+        if not stack:
+            return node
+        stack[-1][2].append(node)
 
 
 def prune(tree: MAryTree, positions: Iterable[int]) -> MAryTree:
@@ -170,13 +218,8 @@ def prune(tree: MAryTree, positions: Iterable[int]) -> MAryTree:
     if not pruned:
         return tree
     keep = [p - 1 for p in range(1, tree.arity + 1) if p not in pruned]
-
-    def walk(node: Node) -> Node:
-        if not node:
-            return LEAF
-        return tuple(walk(node[i]) for i in keep)
-
-    return MAryTree(tree.arity - len(pruned), walk(tree.root))
+    root = _rebuild(tree.root, lambda node: ([node[i] for i in keep], tuple))
+    return MAryTree(tree.arity - len(pruned), root)
 
 
 def decompose(
@@ -196,14 +239,11 @@ def decompose(
     keep = [p - 1 for p in range(1, tree.arity + 1) if p not in pruned]
     pieces: list[MAryTree] = []
 
-    def walk(node: Node) -> Node:
-        if not node:
-            return LEAF
-        for i in cut:
-            pieces.append(MAryTree(tree.arity, node[i]))
-        return tuple(walk(node[i]) for i in keep)
+    def expand(node: Node):
+        pieces.extend(MAryTree(tree.arity, node[i]) for i in cut)
+        return [node[i] for i in keep], tuple
 
-    skeleton = MAryTree(tree.arity - len(pruned), walk(tree.root))
+    skeleton = MAryTree(tree.arity - len(pruned), _rebuild(tree.root, expand))
     return skeleton, tuple(pieces)
 
 
@@ -232,20 +272,13 @@ def compose(
     it = iter(pieces)
     cut = set(p - 1 for p in pruned)
 
-    def walk(node: Node) -> Node:
-        if not node:
-            return LEAF
-        grafts = [next(it).root for _ in range(len(cut))]
-        out = []
-        gi = 0
-        ki = 0
-        for i in range(arity):
-            if i in cut:
-                out.append(grafts[gi])
-                gi += 1
-            else:
-                out.append(walk(node[ki]))
-                ki += 1
-        return tuple(out)
+    def expand(node: Node):
+        grafts = iter([next(it).root for _ in cut])
 
-    return MAryTree(arity, walk(skeleton.root))
+        def build(images: list[Node]) -> Node:
+            kept = iter(images)
+            return tuple(next(grafts) if i in cut else next(kept) for i in range(arity))
+
+        return node, build
+
+    return MAryTree(arity, _rebuild(skeleton.root, expand))

@@ -165,15 +165,55 @@ def _assert_canonical_pair(p):
     assert all(type(c) is Fraction for c in p.coeffs) and p.coeffs[-1:] != (0,)
 
 
+def _fraction_sum(terms):
+    """The eager coefficient tuple of ``_exact_sum(terms)``, added up as Fractions."""
+    out = [Fraction(0)] * max((len(num) for _, num in terms), default=0)
+    for den, num in terms:
+        for i, c in enumerate(num):
+            out[i] += Fraction(c, den)
+    return Poly(out).coeffs
+
+
+def _fraction_horner(coeffs, point):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
+
+
 @given(st.one_of(polys, wide_polys), st.one_of(polys, wide_polys), small_fractions, exact_terms)
 def test_pair_is_canonical_and_has_the_value_of_coeffs(p, q, c, terms):
     assert ZERO.pair == (1, ()) and X.pair == (1, (0, 1))
     assert _exact_sum([(-4, [2, 6])]).pair == (2, (-1, -3))
     cancelled = _exact_sum(terms + [(-den, num) for den, num in terms])
     assert cancelled.pair == (1, ()) and (p - p).pair == (1, ())
+    # Polys whose coeffs were never read, beside their eager coefficient tuples:
+    # equality, hashing, pickling and evaluation read only the pair.
+    constant_terms = [(den, num[:1]) for den, num in terms]
+    unread = [_exact_sum(terms), _exact_sum(constant_terms), p * q, -p, p * c]
+    eager = [
+        _fraction_sum(terms), _fraction_sum(constant_terms), _naive_product(p, q).coeffs,
+        Poly([-a for a in p.coeffs]).coeffs, Poly([a * c for a in p.coeffs]).coeffs,
+    ]
+    points = [Fraction(0), 0, -1, Fraction(-7, 3), Fraction(5, 2), 3, c]
+    for r, e in zip(unread, eager):
+        for other, other_eager in zip(unread + [Poly(t) for t in eager], eager + eager):
+            assert (r == other) == (e == other_eager)
+        assert (r == c) == (e == Poly([c]).coeffs) and (r == 0) == (e == ())
+        assert hash(r) == hash(Poly(e))
+        if len(e) <= 1:
+            assert hash(r) == hash(e[0] if e else 0)
+        back = pickle.loads(pickle.dumps(r))
+        assert back.pair == r.pair and back == r
+        for x in points:
+            value = r(x)
+            assert value == _fraction_horner(e, x) and type(value) is Fraction
+        with pytest.raises(AttributeError):
+            r._coeffs
+        assert r.coeffs == e
     made = [
         p, Poly(p.coeffs + (0,)), _exact_sum(terms), cancelled, p + q, p - q, -p, p * c, c * p,
-        p * -3, p * 0, p * q, p + c, c - p, pickle.loads(pickle.dumps(p)),
+        p * -3, p * 0, p * q, p + c, c - p, pickle.loads(pickle.dumps(p)), *unread,
     ]
     for r in made:
         _assert_canonical_pair(r)
@@ -211,6 +251,24 @@ def test_dot_equals_a_fraction_sum(a, b, ks, data):
     assert got == [_naive_dot(a, b, k, weights) for k in ks]
     for p in got:
         _assert_canonical_pair(p)
+
+
+def test_series_layer_builds_no_fraction(monkeypatch):
+    # The solvers, the composition and == run on integer pairs; a Fraction is
+    # built only where a caller reads coeffs.
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    order = 8
+    phi = solve_phi(3, 3, 3, order)
+    omega = solve_omega(3, 3, order)
+    assert series_compose_scaled(omega, phi, 3) == phi
+    assert len(built) <= 2 * (order + 1)
 
 
 def test_poly_mul_edge_operands():

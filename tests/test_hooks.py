@@ -271,6 +271,21 @@ def test_forest_hooks_examples():
     assert forest_hooks(PlaneForest()) == []
 
 
+def test_forest_hooks_on_a_deep_path():
+    # 5,000 levels are past the recursion limit: the explicit-stack walk takes over.
+    path = ()
+    for _ in range(4999):
+        path = (path,)
+    assert forest_hooks(PlaneForest((path,))) == list(range(5000, 0, -1))
+    assert forest_hooks(PlaneForest(((), path, ((),)))) == [1, *range(5000, 0, -1), 2, 1]
+
+
+def test_deep_forest_hooks_agree_with_the_recursive_walk():
+    for n in range(8):
+        for forest in enumerate_forests(n):
+            assert hooks._deep_forest_hooks(forest) == forest_hooks(forest)
+
+
 def test_forest_hook_multiset_matches_first_kind_under_psi():
     # psi keeps preorder, so the hooks agree vertex by vertex, not just as multisets
     for n in range(7):
@@ -321,3 +336,11 @@ def test_decompose_compose_round_trip_exhaustive():
                     assert total == tree.internal_count()
                     assert compose(skeleton, forest, positions) == tree
 
+
+def test_prune_decompose_compose_on_a_deep_comb():
+    # A right comb 5,000 levels deep: the rebuilds must not recurse.
+    comb = decode("10" * 5000 + "0", 2)
+    skeleton, forest = decompose(comb, {1})
+    assert skeleton == prune(comb, {1}) == decode("1" * 5000 + "0", 1)
+    assert forest == (MAryTree(2),) * 5000
+    assert compose(skeleton, forest, {1}) == comb
