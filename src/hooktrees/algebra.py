@@ -49,10 +49,10 @@ class Poly:
     The value is ``pair`` = (d, nums), integers: coefficient i, of x**i, is
     nums[i]/d, with d > 0 the lcm of the coefficients' denominators, so
     gcd(d, *nums) == 1, and no trailing zero in nums (the zero polynomial
-    has pair (1, ()) and degree -1).  Arithmetic, comparison, hashing,
-    evaluation and pickling read only the pair.  ``coeffs``, the tuple of
-    ``Fraction`` coefficients, is built on first read and kept.  Instances
-    are immutable.
+    has pair (1, ()) and degree -1).  Arithmetic, comparison, hashing and
+    pickling read only the pair.  ``coeffs``, the tuple of ``Fraction``
+    coefficients, is built on first read and kept; printing and evaluation
+    read it.  Instances are immutable.
     """
 
     __slots__ = ("pair", "_coeffs")
@@ -150,26 +150,12 @@ class Poly:
             result = result * self
         return result
 
-    def __call__(self, point: Scalar | Poly) -> Fraction | Poly:
-        """Exact Horner evaluation at a rational point, or composition with a Poly.
-
-        At p/q the Horner steps run on the integer numerators and one Fraction
-        is built at the end.
-        """
-        d, nums = self.pair
-        if isinstance(point, Poly):
-            acc = ZERO
-            for c in reversed(nums):
-                acc = acc * point + c
-            return acc * Fraction(1, d)
-        if not nums:
-            return Fraction(0)
-        p, q = point.numerator, point.denominator
-        acc, scale = nums[-1], 1
-        for c in reversed(nums[:-1]):
-            scale *= q
-            acc = acc * p + c * scale
-        return Fraction(acc, d * scale)
+    def __call__(self, point: Scalar) -> Fraction:
+        """Exact Horner evaluation at a rational point."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * point + c
+        return acc
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"

@@ -139,43 +139,24 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
 
     Preorder across the whole forest, trees left to right; a childless
     vertex counts, unlike an m-ary leaf, so this walk is the forest's own.
-    The root of each component tree gets that tree's vertex count.  The
-    recursive walk is the fast path; a forest too deep for it is walked
-    again from an explicit stack.
+    The root of each component tree gets that tree's vertex count.  H_v is
+    the size of v's subtree: the walk pushes v's preorder slot beneath its
+    children, and when it pops that slot again the subtree fills the slots
+    from it to the end of the list.  The stack is explicit, so depth costs
+    no recursion.
     """
     out: list[int] = []
-
-    def walk(node: tuple) -> int:
-        slot = len(out)
-        out.append(0)
-        total = 1
-        for child in node:
-            total += walk(child)
-        out[slot] = total
-        return total
-
-    try:
-        for tree in forest.trees:
-            walk(tree)
-    except RecursionError:
-        return _deep_forest_hooks(forest)
-    return out
-
-
-def _deep_forest_hooks(forest: PlaneForest) -> list[int]:
-    """``forest_hooks`` without recursion: a preorder pass, then totals in reverse preorder."""
-    out: list[int] = []
-    parents: list[int] = []
-    stack = [(tree, -1) for tree in reversed(forest.trees)]
+    stack: list = list(reversed(forest.trees))
     while stack:
-        node, parent = stack.pop()
-        slot = len(out)
-        out.append(1)
-        parents.append(parent)
-        stack.extend((child, slot) for child in reversed(node))
-    for v in range(len(out) - 1, 0, -1):
-        if parents[v] >= 0:
-            out[parents[v]] += out[v]
+        node = stack.pop()
+        if node.__class__ is int:
+            out[node] = len(out) - node
+        elif node:
+            stack.append(len(out))
+            out.append(0)
+            stack += reversed(node)
+        else:
+            out.append(1)
     return out
 
 

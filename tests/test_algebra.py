@@ -188,7 +188,7 @@ def test_pair_is_canonical_and_has_the_value_of_coeffs(p, q, c, terms):
     cancelled = _exact_sum(terms + [(-den, num) for den, num in terms])
     assert cancelled.pair == (1, ()) and (p - p).pair == (1, ())
     # Polys whose coeffs were never read, beside their eager coefficient tuples:
-    # equality, hashing, pickling and evaluation read only the pair.
+    # equality, hashing and pickling read only the pair; evaluation reads coeffs.
     constant_terms = [(den, num[:1]) for den, num in terms]
     unread = [_exact_sum(terms), _exact_sum(constant_terms), p * q, -p, p * c]
     eager = [
@@ -205,11 +205,11 @@ def test_pair_is_canonical_and_has_the_value_of_coeffs(p, q, c, terms):
             assert hash(r) == hash(e[0] if e else 0)
         back = pickle.loads(pickle.dumps(r))
         assert back.pair == r.pair and back == r
+        with pytest.raises(AttributeError):
+            r._coeffs
         for x in points:
             value = r(x)
             assert value == _fraction_horner(e, x) and type(value) is Fraction
-        with pytest.raises(AttributeError):
-            r._coeffs
         assert r.coeffs == e
     made = [
         p, Poly(p.coeffs + (0,)), _exact_sum(terms), cancelled, p + q, p - q, -p, p * c, c * p,
@@ -268,7 +268,7 @@ def test_series_layer_builds_no_fraction(monkeypatch):
     phi = solve_phi(3, 3, 3, order)
     omega = solve_omega(3, 3, order)
     assert series_compose_scaled(omega, phi, 3) == phi
-    assert len(built) <= 2 * (order + 1)
+    assert built == []
 
 
 def test_poly_mul_edge_operands():

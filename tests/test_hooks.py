@@ -272,18 +272,12 @@ def test_forest_hooks_examples():
 
 
 def test_forest_hooks_on_a_deep_path():
-    # 5,000 levels are past the recursion limit: the explicit-stack walk takes over.
+    # 5,000 levels are past the recursion limit; the walk keeps its own stack.
     path = ()
     for _ in range(4999):
         path = (path,)
     assert forest_hooks(PlaneForest((path,))) == list(range(5000, 0, -1))
     assert forest_hooks(PlaneForest(((), path, ((),)))) == [1, *range(5000, 0, -1), 2, 1]
-
-
-def test_deep_forest_hooks_agree_with_the_recursive_walk():
-    for n in range(8):
-        for forest in enumerate_forests(n):
-            assert hooks._deep_forest_hooks(forest) == forest_hooks(forest)
 
 
 def test_forest_hook_multiset_matches_first_kind_under_psi():
