@@ -4,15 +4,17 @@ Every operation is exact, on ``int`` and ``fractions.Fraction``; there is
 no floating point anywhere in this package.  ``Poly`` is a dense polynomial
 in the statistic variable x, ``PolySeries`` a power series in the size
 variable t truncated at a fixed order, with ``Poly`` coefficients.  A
-``Poly``'s value is its ``pair``, (d, integer numerators); its ``Fraction``
-coefficients, ``coeffs``, are built from the pair on first read and kept,
-so only printing and callers that want Fractions pay for them.  Every exact
-sum of products in the package goes through one kernel on pairs: ``_times``
-multiplies numerator lists and ``_exact_sum`` adds (d, numerator list) terms
-into a Poly, handing it the pair it already has.  ``_dot``, coefficient k of
+``Poly``'s one stored value is its ``pair``, (d, integer numerators); its
+``Fraction`` coefficients, ``coeffs``, are built from the pair on each read,
+so only printing and evaluation pay for them.  Every exact sum of products
+in the package goes through one kernel on pairs: ``_times`` multiplies
+numerator lists and ``_exact_sum`` adds (d, numerator list) terms into a
+Poly, handing it the pair it already has.  ``_dot``, coefficient k of
 sum_j w_j*A_j*B_(k-j), is the one series step on it: series products,
-composition, ``_miller_step`` (Miller's power recurrence) and ``solve_phi``
-call it on plain Poly lists.
+composition and ``_miller_step`` (Miller's power recurrence) call it on
+plain Poly lists.  ``_grow`` is the one root-decomposition recurrence,
+G_n = sum_j w_j*[t^j]G^e*G_(n-1-j): ``solve_phi`` and the convolution check
+of the first-kind sums feed it their weights.
 
 On top of the two value types the module provides coefficient-recurrence
 solvers for two first-order series equations::
@@ -29,16 +31,14 @@ identity checks is ``closed_phi`` at one (a, b, s), built by one loop, ``_phi``:
     rhs_product_poly("thm1_1_eq16", m, n)         (1-m, 1, m-1)     at x+1
     rhs_product_poly("thm1_2_eq51a", m, n, s)     (s-m-1, -1, m+1)  at x+1
 
-All values are immutable; every function is pure and thread-safe.  Two
-threads that read a ``Poly``'s ``coeffs`` first at the same time may both
-build it, but they store equal tuples, so neither can tell.
+All values are immutable; every function is pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -51,35 +51,28 @@ class Poly:
     gcd(d, *nums) == 1, and no trailing zero in nums (the zero polynomial
     has pair (1, ()) and degree -1).  Arithmetic, comparison, hashing and
     pickling read only the pair.  ``coeffs``, the tuple of ``Fraction``
-    coefficients, is built on first read and kept; printing and evaluation
+    coefficients, is built from it on each read; printing and evaluation
     read it.  Instances are immutable.
     """
 
-    __slots__ = ("pair", "_coeffs")
+    __slots__ = ("pair",)
 
     pair: tuple[int, tuple[int, ...]]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         # Unpack a list into math.lcm (also in _exact_sum), not a generator: a tuple
         # built from a generator bypasses the tuple free list on allocation but joins
         # it when freed, filling it to its cap; that raised the series peak RSS by ~7%.
         d = math.lcm(*[c.denominator for c in cs])
-        object.__setattr__(self, "_coeffs", tuple(cs))
-        object.__setattr__(self, "pair", (d, tuple([c.numerator * d // c.denominator for c in cs])))
+        nums = [c.numerator * d // c.denominator for c in cs]
+        object.__setattr__(self, "pair", _from_pair(d, nums).pair)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest degree first."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            d, nums = self.pair
-            cs = tuple([Fraction(c, d) for c in nums])
-            object.__setattr__(self, "_coeffs", cs)
-            return cs
+        d, nums = self.pair
+        return tuple([Fraction(c, d) for c in nums])
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -93,11 +86,10 @@ class Poly:
         return len(self.pair[1]) - 1
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.pair == other.pair
-        if isinstance(other, (int, Fraction)):
-            return self.pair == (other.denominator, (other.numerator,) if other else ())
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.pair == other.pair
 
     def __hash__(self):
         # A constant hashes like the scalar it equals, ZERO like 0.
@@ -131,13 +123,10 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
-        da, a = self.pair
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _from_pair(da * other.denominator, [c * p for c in a])
-        if not isinstance(other, Poly):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        db, b = other.pair
+        (da, a), (db, b) = self.pair, other.pair
         return _from_pair(da * db, _times(a, b))
 
     __rmul__ = __mul__
@@ -161,11 +150,12 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -460,26 +450,36 @@ def closed_phi(a: int, b: int, s: int, n: int) -> Poly:
     return _phi(a, b, s, n, 0)
 
 
+def _grow(e: int, weights: Callable[[int], list], order: int) -> list[Poly]:
+    """G_0..G_order: G_0 = 1, G_n = sum_{j<n} w_j * [t^j]G^e * G_(n-1-j), w = weights(n).
+
+    A tree's root decomposition: a root of weight w_j above e subtrees of
+    total size j and one of size n-1-j.  w_j is a (denominator, numerator
+    list) pair.  [t^(n-1)]G^e reads only G_0..G_(n-1), so ``_miller_step``
+    extends the power by one coefficient per n.
+    """
+    g, power = [ONE], []
+    for n in range(1, order + 1):
+        power.append(_miller_step(g, power, e))
+        g += _dot(power, g, [n - 1], weights(n))
+    return g
+
+
 def solve_phi(a: int, b: int, s: int, order: int) -> PolySeries:
     """Solve F' = x*F^(b+s+1) + (a+s*x)*t*F^(b+s)*F' with F = 1 + O(t), coefficient by coefficient.
 
-    With P = F^(b+s), matching the coefficient of t^(n-1) gives the linear recurrence
+    Matching the coefficient of t^(n-1) gives the linear recurrence
 
-        n*F_n = sum_{j=0..n-1} P_j * (x + (a+s*x)*(n-1-j)) * F_(n-1-j)
+        n*F_n = sum_{j=0..n-1} [t^j]F^(b+s) * (x + (a+s*x)*(n-1-j)) * F_(n-1-j)
 
-    whose right side only involves F_0 .. F_(n-1), as does P_(n-1): so
-    ``_miller_step`` extends P by one coefficient per n instead of recomputing it.
+    which is ``_grow`` at e = b+s with weight w_j = (x + (a+s*x)*(n-1-j))/n.
     """
     if a < 1 or b < 1 or s < 0:
         raise ValueError(f"need a, b >= 1 and s >= 0; got a={a}, b={b}, s={s}")
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
-    coeffs, power = [ONE], []
-    for n in range(1, order + 1):
-        power.append(_miller_step(coeffs, power, b + s))
-        weights = [(n, [a * (n - 1 - j), 1 + s * (n - 1 - j)]) for j in range(n)]
-        coeffs += _dot(power, coeffs, [n - 1], weights)
-    return PolySeries(coeffs, order=order)
+    grown = _grow(b + s, lambda n: [(n, [a * i, 1 + s * i]) for i in reversed(range(n))], order)
+    return PolySeries(grown, order=order)
 
 
 def closed_omega(a: int, b: int, n: int) -> Poly:

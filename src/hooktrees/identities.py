@@ -63,12 +63,10 @@ from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import (
-    ONE,
     Poly,
     PolySeries,
-    _dot,
     _exact_sum,
-    _miller_step,
+    _grow,
     _times,
     rhs_binomial_poly,
     rhs_product_poly,
@@ -284,16 +282,22 @@ def _hook_values(kind: str, S: frozenset[int] | None) -> Callable:
     return forest_hooks
 
 
+def _factor_table(row: Family, m: int | None, s: int, n: int) -> list[tuple[int, list[int]]]:
+    """The row's factor at hook values 0..n: (c1*x + c0)/d as (d, [c0, c1]), c0/d as (d, [c0]).
+
+    Hooks are >= 1, so entry 0 is never read.
+    """
+    return [(d, cs[::-1]) for *cs, d in (row.factor(m, s, h) for h in range(n + 1))]
+
+
 def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[Poly | Fraction, int]:
     """The enumerated left side of ``family`` and the number of items summed.
 
     Performs no validation: callers check m, n and S first.
     """
     row = FAMILY_TABLE[family]
-    s = len(S or ())
     universe = enumerate_forests(n) if row.arity is None else enumerate_trees(row.arity(m), n)
-    # (c1*x + c0)/d as (d, [c0, c1]), c0/d as (d, [c0]); hooks are >= 1, so entry 0 is unread.
-    table = [(d, cs[::-1]) for *cs, d in (row.factor(m, s, h) for h in range(n + 1))]
+    table = _factor_table(row, m, len(S or ()), n)
     total, visited = _multiset_sum(universe, _hook_values(row.hooks, S), table)
     if len(table[0][1]) == 1:
         # A numeric row is read at x = 0 so that a zero sum renders "0", not the zero
@@ -305,16 +309,6 @@ def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[
     return total, visited
 
 
-def _evaluate(spec: IdentitySpec) -> tuple[Poly | Fraction, Poly | Fraction, int, bool]:
-    """Build (lhs, rhs, trees_visited, cross_ok) for a validated spec."""
-    row = FAMILY_TABLE[spec.family]
-    m, n, s = spec.m, spec.n, len(spec.S or ())
-    lhs, visited = _lhs(spec.family, m, n, spec.S)
-    rhs = row.rhs(m, n, s)
-    cross_ok = row.cross is None or rhs == row.cross(m, n, s)
-    return lhs, rhs, visited, cross_ok
-
-
 def check_identity(spec: IdentitySpec, *, _corrupt_rhs: bool = False) -> VerificationReport:
     """Verify one identity instance exactly.
 
@@ -323,7 +317,11 @@ def check_identity(spec: IdentitySpec, *, _corrupt_rhs: bool = False) -> Verific
     """
     spec = _validated(spec)
     start = perf_counter()
-    lhs, rhs, visited, cross_ok = _evaluate(spec)
+    row = FAMILY_TABLE[spec.family]
+    m, n, s = spec.m, spec.n, len(spec.S or ())
+    lhs, visited = _lhs(spec.family, m, n, spec.S)
+    rhs = row.rhs(m, n, s)
+    cross_ok = row.cross is None or rhs == row.cross(m, n, s)
     if _corrupt_rhs:
         rhs = rhs + 1
     passed = cross_ok and lhs == rhs
@@ -338,26 +336,21 @@ def check_recurrence_thm1_1(m: int, n: int) -> VerificationReport:
     the root compositions (i_1, ..., i_m) of n-1 by j = i_1 + ... + i_(m-1);
     the root vertex contributes the eq1_7 factor at hook value j+1, the
     first m-1 subtrees contribute [t^j] of the (m-1)-th power of the partial
-    generating series, one Miller step per size, the last subtree the sum at
-    size n-1-j.  The recurrence route starts from the constant 1, so the two
-    routes share nothing but the closed forms they are checked against.
+    generating series, the last subtree the sum at size n-1-j.  So it is
+    ``algebra._grow`` at e = m-1 with w_j the eq1_7 factor at hook value j+1.
+    The recurrence starts from the constant 1, so the two routes share only
+    the row's factor table and the closed forms they are checked against.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = perf_counter()
-    # roots[j] is the root's factor (c1*x + c0)/d at hook value j+1, as (d, [c0, c1]).
-    factors = (FAMILY_TABLE["thm1_1_eq1_7"].factor(m, 0, j + 1) for j in range(n))
-    roots = [(d, [c0, c1]) for c1, c0, d in factors]
-    memo, power = [ONE], []
-    for k in range(1, n + 1):
-        power.append(_miller_step(memo, power, m - 1))
-        memo += _dot(power, memo, [k - 1], roots)
+    roots = _factor_table(FAMILY_TABLE["thm1_1_eq1_7"], m, 0, n)[1:]
+    grown = _grow(m - 1, lambda k: roots, n)[n]
     direct, visited = _lhs("thm1_1_eq1_7", m, n, None)
     spec = IdentitySpec("recurrence_thm1_1", m=m, n=n)
-    passed = direct == memo[n]
-    return VerificationReport(spec, direct, memo[n], passed, visited, perf_counter() - start)
+    return VerificationReport(spec, direct, grown, direct == grown, visited, perf_counter() - start)
 
 
 def check_gf_relations(m: int, s: int, order: int) -> VerificationReport:

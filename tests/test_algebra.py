@@ -16,6 +16,7 @@ from hooktrees.algebra import (
     ZERO,
     _dot,
     _exact_sum,
+    _grow,
     closed_omega,
     closed_phi,
     rhs_binomial_poly,
@@ -24,6 +25,7 @@ from hooktrees.algebra import (
     solve_omega,
     solve_phi,
 )
+from hooktrees.identities import IdentitySpec, check_identity, check_recurrence_thm1_1
 from hooktrees.trees import count_trees
 
 half = Fraction(1, 2)
@@ -41,6 +43,7 @@ def test_poly_is_immutable_and_hashable():
     p = Poly([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = ()
+    assert Poly.__slots__ == ("pair",)
     assert hash(Poly([1, 2])) == hash(p)
 
 
@@ -205,8 +208,6 @@ def test_pair_is_canonical_and_has_the_value_of_coeffs(p, q, c, terms):
             assert hash(r) == hash(e[0] if e else 0)
         back = pickle.loads(pickle.dumps(r))
         assert back.pair == r.pair and back == r
-        with pytest.raises(AttributeError):
-            r._coeffs
         for x in points:
             value = r(x)
             assert value == _fraction_horner(e, x) and type(value) is Fraction
@@ -253,9 +254,8 @@ def test_dot_equals_a_fraction_sum(a, b, ks, data):
         _assert_canonical_pair(p)
 
 
-def test_series_layer_builds_no_fraction(monkeypatch):
-    # The solvers, the composition and == run on integer pairs; a Fraction is
-    # built only where a caller reads coeffs.
+def _fractions_built(monkeypatch) -> list:
+    """The argument tuples of every Fraction constructed from here on, as a growing list."""
     built = []
     new = Fraction.__new__
 
@@ -264,10 +264,25 @@ def test_series_layer_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
+def test_series_layer_builds_no_fraction(monkeypatch):
+    # The solvers, the composition and == run on integer pairs; a Fraction is
+    # built only where a caller reads coeffs.
+    built = _fractions_built(monkeypatch)
     order = 8
     phi = solve_phi(3, 3, 3, order)
     omega = solve_omega(3, 3, order)
     assert series_compose_scaled(omega, phi, 3) == phi
+    assert built == []
+
+
+def test_polynomial_checks_build_no_fraction(monkeypatch):
+    # The convolution check and a polynomial row's sum, closed form and == read pairs too.
+    built = _fractions_built(monkeypatch)
+    assert check_recurrence_thm1_1(3, 6).passed
+    assert check_identity(IdentitySpec("thm1_1_eq1_7", m=3, n=6)).passed
     assert built == []
 
 
@@ -382,6 +397,30 @@ def test_series_pow_equals_repeated_products(head, tail, e):
     g = [head] + tail
     order = len(tail)
     assert (PolySeries(g) ** e).coeffs == tuple(_series_power(g, e, order))
+
+
+def _naive_grow(e, weights, order):
+    g = [ONE] + [ZERO] * order
+    for n in range(1, order + 1):
+        power = _series_power(g, e, n - 1)
+        for j, (den, num) in enumerate(weights(n)):
+            w = Poly([Fraction(c, den) for c in num])
+            g[n] = g[n] + _naive_product(_naive_product(w, power[j]), g[n - 1 - j])
+    return g
+
+
+@given(st.integers(0, 4), st.integers(0, 6), st.booleans(), st.data())
+def test_grow_equals_a_fraction_recurrence(e, order, last_only, data):
+    # Repeated and negative denominators, zero weights; last_only is the
+    # standard-hook shape, where only w_(n-1) is nonzero.
+    table = {}
+    for n in range(1, order + 1):
+        row = data.draw(st.lists(weight_terms, min_size=n, max_size=n))
+        table[n] = [(1, [])] * (n - 1) + row[-1:] if last_only else row
+    got = _grow(e, table.get, order)
+    assert got == _naive_grow(e, table.get, order)
+    for p in got:
+        _assert_canonical_pair(p)
 
 
 @given(st.lists(polys, min_size=1, max_size=6), st.data(), st.integers(0, 4))

@@ -377,6 +377,25 @@ def test_verify_json_matches_schema(capsys):
     assert rows[-1]["S"] == [1, 2]
 
 
+def test_verify_jobs_and_timing(capsys):
+    argv = ["verify", "--family", "thm1_2_eq5_1a", "--m", "2", "--S", "all", "--n-max", "4"]
+    for fmt in ("text", "json", "csv"):
+        parallel = run(capsys, *argv, "--format", fmt, "--jobs", "2")
+        assert parallel == run(capsys, *argv, "--format", fmt, "--jobs", "1")
+        assert parallel[0] == 0
+    for timing, flags in ((True, ["--timing"]), (False, [])):
+        code, out, _ = run(capsys, *argv, "--format", "json", *flags)
+        rows = json.loads(out)
+        assert code == 0 and len(rows) == 4 * 5  # four subsets of [2], n = 0..4
+        assert any(row["elapsed_ms"] for row in rows) == timing
+        for row in rows:
+            jsonschema.validate(row, REPORT_SCHEMA)
+            if timing:
+                assert type(row["elapsed_ms"]) is float and row["elapsed_ms"] >= 0
+            else:
+                assert row["elapsed_ms"] == 0
+
+
 def test_verify_all_subsets_of_a_full_set_family(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "cor2_third", "--m", "2", "--S", "all", "--n-max", "4"
