@@ -1,7 +1,7 @@
 """Hook statistics on complete m-ary trees and plane forests.
 
 Three statistics are computed for every internal vertex v of an m-ary
-tree by one recursive walk, ``_hooks``, and returned as a list in
+tree by one recursive walk, ``_walk``, and returned as a list in
 preorder over the internal vertices:
 
 * ``standard_hooks``     h_v   -- internal vertices in the subtree at v.
@@ -23,16 +23,18 @@ skeleton plus the ordered forest of deleted subtrees.
 
 A vertex's values depend only on its own subtree, and ``enumerate_trees``
 builds every tree of an arity from the same listed subtree objects.  So
-``_hooks`` memoizes each proper subtree it walks, keyed by ``id`` of the
+``_walk`` memoizes each proper subtree it walks, keyed by ``id`` of the
 node, as (total, preorder list, node): the stored node pins the id, so a
 freed id can never be reused for a stale hit.  Keying by value would hash
 a nested tuple, which recurses in C and crashes the interpreter on deep
 trees.  Only subtrees no larger than the largest listed size are stored,
 never the root, and the list handed to the caller is always fresh.  The
 memo serves one mode (arity, pruned positions, first) at a time: a new
-mode starts an empty memo, and a memo is cleared once it holds more than
-``_SUBTREE_LIST_CAP`` entries.  An enumerated tree then costs O(arity)
-dictionary lookups plus one copy of its preorder list.
+mode starts an empty memo, and a full memo, one of ``_SUBTREE_LIST_CAP``
+entries, is cleared before it takes another.  An enumerated tree whose
+root children all hit the memo then costs one ``_walk`` frame below the
+public function: the mode check, O(arity) dictionary lookups and one copy
+of its preorder list.
 """
 
 from __future__ import annotations
@@ -57,39 +59,39 @@ def _position_set(positions: Iterable[int], arity: int) -> frozenset[int]:
 
 
 _NO_POSITIONS: frozenset[int] = frozenset()
-# The mode (arity, pruned, first) of the last ``_hooks`` call and its memo.  A
+# The mode (arity, pruned, first) of the last tree walked and its memo.  A
 # new mode gets a new dict, so a walk in another thread keeps its own.
 _state: tuple[int, frozenset[int], bool, dict] = (0, _NO_POSITIONS, False, {})
 
 
-def _hooks(tree: MAryTree, positions: Iterable[int], first: bool) -> list[int]:
-    """The one m-ary hook walk, in preorder over internal vertices.
+def _walk(
+    node: MAryTree | Node,
+    positions: Iterable[int],
+    first: bool,
+    memo: dict | None = None,
+    listed: int | None = None,
+) -> tuple[int, list[int]]:
+    """(total, preorder list) of an internal node, or of a tree when ``memo`` is None.
 
     A vertex's total is 1 plus the totals of its children at positions
     outside ``positions``; its slot holds that total, or with ``first`` the
-    total less the last child's (``positions`` is then empty).  The
-    positions are validated once per mode, not once per tree.
+    total less the last child's (``positions`` is then empty).  Called on a
+    tree, the walk first selects the mode's memo and validates the positions
+    once per mode, not once per tree, and then walks the root's children in
+    the same frame.  Children of at most ``listed`` internal vertices are
+    memoized; ``listed`` is read from the subtree lists on the first miss.
     """
     global _state
-    arity, pruned, mode_first, memo = state = _state
-    if tree.arity != arity or positions is not pruned or first is not mode_first:
-        pruned = _position_set(positions, tree.arity)
-        if (tree.arity, pruned, first) != state[:3]:
-            memo = {}
-        _state = (tree.arity, pruned, first, memo)
-    if not tree.root:
-        return []
-    listed = len(trees._SUBTREE_LISTS.get(tree.arity, ())) - 1
-    out = _walk(tree.root, pruned, first, listed, memo)[1]
-    if len(memo) > trees._SUBTREE_LIST_CAP:
-        memo.clear()
-    return out
-
-
-def _walk(
-    node: Node, pruned: frozenset[int], first: bool, listed: int, memo: dict
-) -> tuple[int, list[int]]:
-    """(total, preorder list) of ``node``, memoizing its children of at most ``listed`` vertices."""
+    if memo is None:
+        arity, pruned, mode_first, memo = state = _state
+        if node.arity != arity or positions is not pruned or first is not mode_first:
+            pruned = _position_set(positions, node.arity)
+            if (node.arity, pruned, first) != state[:3]:
+                memo = {}
+            _state = (node.arity, pruned, first, memo)
+        positions, arity, node = pruned, node.arity, node.root
+        if not node:
+            return 0, []
     out = [0]
     total = 1
     for pos, child in enumerate(node, start=1):
@@ -97,13 +99,17 @@ def _walk(
         if child:
             hit = memo.get(id(child))
             if hit is None:
-                sub, below = _walk(child, pruned, first, listed, memo)
+                if listed is None:
+                    listed = len(trees._SUBTREE_LISTS.get(arity, ())) - 1
+                sub, below = _walk(child, positions, first, memo, listed)
                 if len(below) <= listed:
+                    if len(memo) >= trees._SUBTREE_LIST_CAP:
+                        memo.clear()
                     memo[id(child)] = (sub, below, child)
             else:
                 sub, below, _ = hit
             out += below
-            if pos not in pruned:
+            if pos not in positions:
                 total += sub
     out[0] = total - sub if first else total
     return total, out
@@ -111,7 +117,7 @@ def _walk(
 
 def standard_hooks(tree: MAryTree) -> list[int]:
     """h_v = 1 + sum of h over internal children, for every internal v."""
-    return _hooks(tree, _NO_POSITIONS, False)
+    return _walk(tree, _NO_POSITIONS, False)[1]
 
 
 def first_kind_hooks(tree: MAryTree) -> list[int]:
@@ -120,7 +126,7 @@ def first_kind_hooks(tree: MAryTree) -> list[int]:
     Equivalently h_v minus the standard hook of v's rightmost child when
     that child is internal.
     """
-    return _hooks(tree, _NO_POSITIONS, True)
+    return _walk(tree, _NO_POSITIONS, True)[1]
 
 
 def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> list[int]:
@@ -131,7 +137,7 @@ def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> list[int]:
     would delete still get a value.  Agrees with standard hooks of
     ``prune`` applied at each vertex.
     """
-    return _hooks(tree, positions, False)
+    return _walk(tree, positions, False)[1]
 
 
 def forest_hooks(forest: PlaneForest) -> list[int]:

@@ -54,7 +54,6 @@ deterministic result.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -254,21 +253,35 @@ def _validated(spec: IdentitySpec) -> IdentitySpec:
 # the multiset of its hook values, and a universe has few distinct multisets
 # (4,862 binary trees with 9 internal vertices have 95 standard-hook
 # multisets).  So each item is reduced to its sorted hook tuple and counted,
-# each product is built once per distinct multiset with the count as its
-# starting numerator, and ``algebra._exact_sum`` adds the products.
+# and ``algebra._exact_sum`` adds one product per distinct multiset, scaled by
+# its count.  In sorted order neighbouring multisets share prefixes, so the
+# products are built on a stack of prefix products and a key multiplies only
+# from the first position where it differs from the key before it: the 489
+# first-kind multisets of those trees take 884 ``_times`` calls, not 4,401.
 # ---------------------------------------------------------------------------
 
 
 def _multiset_sum(universe, values_of, table) -> tuple[Poly, int]:
     """The sum of the products of the (d, numerators) factors ``table[h]``, and the item count."""
-    counts = Counter(tuple(sorted(values_of(item))) for item in universe)
+    counts = Counter(map(tuple, map(sorted, map(values_of, universe))))
     terms = []
-    for values, count in counts.items():
-        den, num = 1, [count]
-        for h in values:
+    prefix = [(1, [1])]  # prefix[i]: the product of the first i factors of the last key
+    last: tuple[int, ...] = ()
+    for values in sorted(counts):
+        keep = 0
+        for h, g in zip(values, last):
+            if h != g:
+                break
+            keep += 1
+        del prefix[keep + 1 :]
+        den, num = prefix[-1]
+        for h in values[keep:]:
             d, factor = table[h]
             den, num = den * d, _times(num, factor)
-        terms.append((den, num))
+            prefix.append((den, num))
+        count = counts[values]
+        terms.append((den, [count * c for c in num]))
+        last = values
     return _exact_sum(terms), counts.total()
 
 
@@ -461,6 +474,8 @@ def verify_suite(
     start = perf_counter()
     workers = min(jobs, os.cpu_count() or 1, len(specs))
     if workers > 1:
+        import multiprocessing  # only here, so that importing the package skips it
+
         with multiprocessing.Pool(workers) as pool:
             reports = pool.map(_run_one, specs)
     else:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Iterator
 
 Node = tuple
@@ -164,8 +164,7 @@ def enumerate_trees(arity: int, internal: int) -> Iterator[MAryTree]:
     if arity < 1 or internal < 0:
         raise ValueError(f"need arity >= 1 and internal >= 0, got {arity}, {internal}")
     small = _subtree_lists(arity, internal)
-    for root in _nodes(arity, internal, small):
-        yield MAryTree(arity, root)
+    yield from map(MAryTree, repeat(arity), _nodes(arity, internal, small))
 
 
 # Subtrees of every size k whose count_trees(arity, k) is at most this many

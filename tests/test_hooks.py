@@ -202,13 +202,19 @@ def test_hooks_stay_right_when_trees_are_dropped(monkeypatch, cap):
         del tree
 
 
-def test_memo_stays_bounded_over_a_streamed_universe():
-    # count_trees(2, 10) is above the cap, so n = 11 streams its size-10 subtrees.
+@pytest.mark.parametrize(
+    "kind, positions",
+    [("standard", ()), ("first", ()), ("second", frozenset({1}))],
+    ids=["standard", "first", "second"],
+)
+def test_memo_stays_bounded_over_a_streamed_universe(kind, positions):
+    # count_trees(2, 10) is above the cap, so n = 11 streams its size-10 subtrees,
+    # and the root's children of that size miss the memo.
     assert count_trees(2, 10) > trees._SUBTREE_LIST_CAP
     for i, tree in enumerate(enumerate_trees(2, 11)):
-        values = first_kind_hooks(tree)
+        values = HOOKS[kind](tree, positions)
         if i % 5000 == 0:
-            assert values == oracle_hooks(tree, "first", ())
+            assert values == oracle_hooks(tree, kind, positions)
     listed = len(trees._SUBTREE_LISTS[2]) - 1
     assert listed < 10
     memo = hooks._state[-1]

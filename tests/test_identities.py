@@ -1,6 +1,10 @@
 """Identity checks: left-side summations, closed forms, and the suite runner."""
 
+import multiprocessing
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from hooktrees import identities
 from hooktrees.algebra import ONE, Poly, X, rhs_binomial_poly, rhs_product_poly
-from hooktrees.hooks import first_kind_hooks, standard_hooks
+from hooktrees.hooks import first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks
 from hooktrees.identities import (
     FAMILIES,
     FAMILY_TABLE,
@@ -21,7 +25,7 @@ from hooktrees.identities import (
     ns_within_budget,
     verify_suite,
 )
-from hooktrees.trees import count_trees, enumerate_trees
+from hooktrees.trees import count_trees, enumerate_forests, enumerate_trees
 
 half = Fraction(1, 2)
 
@@ -313,7 +317,7 @@ def test_verify_suite_caps_the_worker_pool(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(identities.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(identities.os, "cpu_count", lambda: 4)
     grid = [IdentitySpec("thm1_1_eq1_7", m=2, n=n) for n in range(3)]
     assert verify_suite(grid, jobs=10_000).all_passed
@@ -321,6 +325,13 @@ def test_verify_suite_caps_the_worker_pool(monkeypatch):
     monkeypatch.setattr(identities.os, "cpu_count", lambda: None)
     assert verify_suite(grid, jobs=10_000).all_passed
     assert sizes == [3, 4]
+
+
+def test_importing_the_package_skips_multiprocessing():
+    # Only a pool run needs it; it would add to every start-up of the command line.
+    src = str(Path(identities.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import hooktrees.cli; assert 'multiprocessing' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def test_verify_suite_parallel_matches_serial():
@@ -352,24 +363,48 @@ factors = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([(1, 4), (2, 4), (2, 5), (3, 4), (4, 3)]),
-    st.sampled_from(["standard", "first"]),
+    st.sampled_from(["standard", "first", "second", "forest"]),
     st.data(),
 )
 def test_multiset_sums_equal_per_tree_sums(shape, kind, data):
-    # Rows are (c1, c0, d) for (c1*x + c0)/d or (c0, d) for c0/d, mixed in one table.
+    # Rows are (c1, c0, d) for (c1*x + c0)/d or (c0, d) for c0/d, mixed in one table;
+    # zero factors make a product that is built from a shared prefix vanish exactly.
     arity, n_max = shape
     n = data.draw(st.integers(0, n_max))
     rows = [None] + data.draw(st.lists(factors, min_size=n, max_size=n))
-    values_of = standard_hooks if kind == "standard" else first_kind_hooks
+    if kind == "forest":
+        universe, values_of = (lambda: enumerate_forests(n)), forest_hooks
+    else:
+        universe = lambda: enumerate_trees(arity, n)
+        S = frozenset(p for p in range(1, arity) if data.draw(st.booleans()))
+        values_of = {
+            "standard": standard_hooks,
+            "first": first_kind_hooks,
+            "second": lambda tree: second_kind_hooks(tree, S),
+        }[kind]
     naive = [Fraction(0)] * (n + 1)
-    for tree in enumerate_trees(arity, n):
+    for item in universe():
         term = [Fraction(1)]
-        for h in values_of(tree):
+        for h in values_of(item):
             c1, c0, d = rows[h] if len(rows[h]) == 3 else (0, *rows[h])
             term = [(lo * c0 + hi * c1) / d for lo, hi in zip(term + [0], [0] + term)]
         for k, c in enumerate(term):
             naive[k] += c
     table = [None] + [(d, c[::-1]) for *c, d in rows[1:]]
-    total, visited = identities._multiset_sum(enumerate_trees(arity, n), values_of, table)
+    total, visited = identities._multiset_sum(universe(), values_of, table)
     assert total == Poly(naive)
-    assert visited == count_trees(arity, n)
+    assert visited == (count_trees(2, n) if kind == "forest" else count_trees(arity, n))
+
+
+def test_multiset_sum_multiplies_each_distinct_prefix_once(monkeypatch):
+    # Sorted hook multisets share prefixes, and each distinct non-empty prefix
+    # costs one product: 884 for the 489 multisets of these 4,862 trees.
+    keys = {tuple(sorted(first_kind_hooks(tree))) for tree in enumerate_trees(2, 9)}
+    prefixes = {key[:i] for key in keys for i in range(1, len(key) + 1)}
+    calls = []
+    times = identities._times
+    monkeypatch.setattr(identities, "_times", lambda a, b: calls.append(1) or times(a, b))
+    lhs, visited = identities._lhs("thm1_1_eq1_6", 2, 9, None)
+    assert lhs == rhs_product_poly("thm1_1_eq16", 2, 9)
+    assert visited == 4862
+    assert len(calls) == len(prefixes) == 884
