@@ -13,8 +13,10 @@ Poly, handing it the pair it already has.  ``_dot``, coefficient k of
 sum_j w_j*A_j*B_(k-j), is the one series step on it: series products,
 composition and ``_miller_step`` (Miller's power recurrence) call it on
 plain Poly lists.  ``_grow`` is the one root-decomposition recurrence,
-G_n = sum_j w_j*[t^j]G^e*G_(n-1-j): ``solve_phi`` and the convolution check
-of the first-kind sums feed it their weights.
+G_n = sum_j w_j*[t^j]G^e*G_(n-1-j), with three callers that feed it their
+weights: ``solve_phi``, and in ``identities`` ``check_recurrence_thm1_1``
+(the first-kind convolution) and ``check_gf_relations`` (the second-kind
+differential relation).
 
 On top of the two value types the module provides coefficient-recurrence
 solvers for two first-order series equations::
@@ -242,8 +244,9 @@ class PolySeries:
     """Power series in t truncated at a fixed order, with Poly coefficients.
 
     ``coeffs[n]`` is the coefficient of t**n; there are exactly
-    ``order + 1`` of them.  Binary operations require both operands to
-    share the same truncation order and never consult anything above it.
+    ``order + 1`` of them.  The product, and ``series_compose_scaled``,
+    require both operands to share the same truncation order and never
+    consult anything above it.
     """
 
     __slots__ = ("order", "coeffs")
@@ -283,27 +286,11 @@ class PolySeries:
         if self.order != other.order:
             raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other) -> "PolySeries":
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        self._match(other)
-        return PolySeries([a + b for a, b in zip(self.coeffs, other.coeffs)], order=self.order)
-
-    def __sub__(self, other) -> "PolySeries":
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        self._match(other)
-        return PolySeries([a - b for a, b in zip(self.coeffs, other.coeffs)], order=self.order)
-
     def __mul__(self, other) -> "PolySeries":
-        if isinstance(other, (Poly, int, Fraction)):
-            return PolySeries([c * other for c in self.coeffs], order=self.order)
         if not isinstance(other, PolySeries):
             return NotImplemented
         self._match(other)
         return PolySeries(_dot(self.coeffs, other.coeffs, range(self.order + 1)), order=self.order)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "PolySeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -317,23 +304,6 @@ class PolySeries:
         for _ in range(exponent):
             result = result * self
         return result
-
-    def derivative(self) -> "PolySeries":
-        """d/dt; the result is truncated one order lower."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 truncation")
-        return PolySeries(
-            [self.coeffs[n] * n for n in range(1, self.order + 1)], order=self.order - 1
-        )
-
-    def mul_t(self) -> "PolySeries":
-        """Multiply by t; order rises by one."""
-        return PolySeries((ZERO,) + self.coeffs, order=self.order + 1)
-
-    def truncate(self, order: int) -> "PolySeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return PolySeries(self.coeffs[: order + 1], order=order)
 
     def __repr__(self):
         return f"PolySeries({[str(c) for c in self.coeffs]}, order={self.order})"
@@ -388,7 +358,7 @@ def series_compose_scaled(outer: PolySeries, inner: PolySeries, s: int) -> PolyS
         raise ValueError("composition power s must be nonnegative")
     outer._match(inner)
     order = outer.order
-    arg = (inner**s).mul_t().coeffs
+    arg = (ZERO, *(inner**s).coeffs)
     result: list[Poly] = []
     for k in range(order, -1, -1):
         result = _dot(result, arg, range(order - k + 1))
@@ -456,7 +426,8 @@ def _grow(e: int, weights: Callable[[int], list], order: int) -> list[Poly]:
     A tree's root decomposition: a root of weight w_j above e subtrees of
     total size j and one of size n-1-j.  w_j is a (denominator, numerator
     list) pair.  [t^(n-1)]G^e reads only G_0..G_(n-1), so ``_miller_step``
-    extends the power by one coefficient per n.
+    extends the power by one coefficient per n.  Callers: ``solve_phi``,
+    ``identities.check_recurrence_thm1_1`` and ``identities.check_gf_relations``.
     """
     g, power = [ONE], []
     for n in range(1, order + 1):

@@ -49,12 +49,12 @@ def _position_set(positions: Iterable[int], arity: int) -> frozenset[int]:
     """Validate a prunable position set: a subset of {1, ..., arity-1}.
 
     The last child position is never prunable, so a nonempty tree always
-    survives its own pruning.
+    survives its own pruning.  A ``bool`` is not a position, although True == 1.
     """
     s = frozenset(positions)
     for p in s:
-        if not isinstance(p, int) or not 1 <= p <= arity - 1:
-            raise ValueError(f"pruned position {p!r} outside 1..{arity - 1}")
+        if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= arity - 1:
+            raise ValueError(f"pruned position {p!r} is not an integer in 1..{arity - 1}")
     return s
 
 

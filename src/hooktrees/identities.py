@@ -44,7 +44,9 @@ cor2_third            sum prod (x - hbb^[m] + 1)/hbb^[m]
 
 ``check_recurrence_thm1_1`` and ``check_gf_relations`` verify the
 convolution recurrence and the truncated-series relations behind the two
-main families.
+main families.  Each grows a series with ``algebra._grow`` from the
+constant 1 (the second-kind one from the differential relation) and
+compares it with the enumerated sums.
 
 Summations are associative exact reductions, so ``verify_suite`` may
 partition a grid across worker processes and still assemble a
@@ -373,13 +375,19 @@ def check_gf_relations(m: int, s: int, order: int) -> VerificationReport:
     {1..s} on arity-(m+1) trees, two facts are verified through the given
     truncation order:
 
-    * the differential relation
-      A' = (x+1) A^(m+1) + ((m+1)x + s) t A^m A'  (residual zero), and
+    * the differential relation A' = (x+1) A^(m+1) + ((m+1)x + s) t A^m A',
+      whose coefficient of t^(n-1) is the recurrence
+
+          n*A_n = sum_{j<n} [t^j]A^m * ((x+1) + ((m+1)x + s)*(n-1-j)) * A_(n-1-j),
+
+      ``algebra._grow`` at e = m; it starts from the constant 1, so it
+      shares nothing with the enumerated A but the comparison; and
     * the composition A(t) = B(t * A(t)^s) where B is the s = 0 series of
       the smaller arity m-s+1 (trivially the identity when s = 0).
 
-    The report's lhs/rhs are the concatenated coefficient tuples of the two
-    sides, so ``passed`` remains an exact lhs == rhs comparison.
+    The report's lhs is the enumerated A's coefficients twice, its rhs the
+    grown series followed by the composed one, so ``passed`` remains an
+    exact lhs == rhs comparison.
     """
     if m < 1 or not 0 <= s <= m:
         raise ValueError(f"need m >= 1 and 0 <= s <= m, got m={m}, s={s}")
@@ -387,39 +395,18 @@ def check_gf_relations(m: int, s: int, order: int) -> VerificationReport:
         raise ValueError(f"need order >= 0, got {order}")
     start = perf_counter()
     s_rep = frozenset(range(1, s + 1))
-    visited = 0
-    a_coeffs = []
-    d_coeffs = []
-    for k in range(order + 1):
-        poly, seen = _lhs("thm1_2_eq5_1a", m, k, s_rep)
-        a_coeffs.append(poly)
-        visited += seen
-        poly, seen = _lhs("thm1_2_eq5_1a", m - s, k, frozenset())
-        d_coeffs.append(poly)
-        visited += seen
-    series_a = PolySeries(a_coeffs, order=order)
-    series_b = PolySeries(d_coeffs, order=order)
 
-    lhs_parts: tuple[Poly, ...] = ()
-    rhs_parts: tuple[Poly, ...] = ()
-    if order >= 1:
-        deriv = series_a.derivative()
-        ode_rhs = (series_a.truncate(order - 1) ** (m + 1)) * Poly([1, 1])
-        if order >= 2:
-            inner = (series_a.truncate(order - 2) ** m) * deriv.truncate(order - 2)
-            ode_rhs = ode_rhs + inner.mul_t() * Poly([s, m + 1])
-        lhs_parts += deriv.coeffs
-        rhs_parts += ode_rhs.coeffs
+    def enumerated(m_: int, S: frozenset[int]) -> tuple[PolySeries, int]:
+        sums = [_lhs("thm1_2_eq5_1a", m_, k, S) for k in range(order + 1)]
+        return PolySeries([poly for poly, _ in sums], order=order), sum(seen for _, seen in sums)
 
+    (series_a, seen_a), (series_b, seen_b) = enumerated(m, s_rep), enumerated(m - s, frozenset())
+    grown = _grow(m, lambda n: [(n, [1 + s * i, 1 + (m + 1) * i]) for i in reversed(range(n))], order)
     composed = series_compose_scaled(series_b, series_a, s)
-    lhs_parts += series_a.coeffs
-    rhs_parts += composed.coeffs
-
+    lhs = series_a.coeffs * 2
+    rhs = (*grown, *composed.coeffs)
     spec = IdentitySpec("gf_relations", m=m, n=order, S=s_rep)
-    passed = lhs_parts == rhs_parts
-    return VerificationReport(
-        spec, lhs_parts, rhs_parts, passed, visited, perf_counter() - start
-    )
+    return VerificationReport(spec, lhs, rhs, lhs == rhs, seen_a + seen_b, perf_counter() - start)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,8 @@ def test_second_kind_rejects_bad_positions():
         second_kind_hooks(TERNARY, {3})
     with pytest.raises(ValueError):
         second_kind_hooks(TERNARY, {0})
+    with pytest.raises(ValueError):
+        second_kind_hooks(TERNARY, {True})
 
 
 def test_prune_identity_and_examples():

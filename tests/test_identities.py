@@ -201,11 +201,36 @@ def test_check_recurrence_small():
 
 
 def test_check_gf_relations_small():
+    order = 3
     for m, s in [(1, 0), (1, 1), (2, 1), (2, 2)]:
-        report = check_gf_relations(m, s, 3)
+        report = check_gf_relations(m, s, order)
         assert report.passed, (m, s)
+        # The grown half is the paper's closed form for the eq5_1a sums.
+        closed = tuple(rhs_product_poly("thm1_2_eq51a", m, n, s) for n in range(order + 1))
+        assert report.rhs[: order + 1] == closed, (m, s)
     with pytest.raises(ValueError):
         check_gf_relations(2, 3, 3)
+
+
+@pytest.mark.parametrize("universe", ["A", "B"])
+def test_check_gf_relations_detects_a_corrupted_sum(monkeypatch, universe):
+    # One enumerated coefficient (k = 3) off by 1.  In A, the S-universe series,
+    # both halves fail; in B (arity m-s+1, S empty) only the composition does.
+    order, lhs = 5, identities._lhs
+    for m, s in [(1, 1), (2, 1), (2, 2), (3, 2)]:
+        target = (m, frozenset(range(1, s + 1))) if universe == "A" else (m - s, frozenset())
+
+        def corrupted(family, m_, n, S):
+            total, visited = lhs(family, m_, n, S)
+            return (total + 1 if (m_, S) == target and n == 3 else total), visited
+
+        monkeypatch.setattr(identities, "_lhs", corrupted)
+        report = check_gf_relations(m, s, order)
+        assert report.passed is False, (m, s)
+        cut = order + 1  # the grown half ends here, the composed half starts
+        grown_ok = report.lhs[:cut] == report.rhs[:cut]
+        assert grown_ok is (universe == "B"), (m, s)
+        assert report.lhs[cut:] != report.rhs[cut:], (m, s)
 
 
 def test_ns_within_budget():
