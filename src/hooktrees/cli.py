@@ -218,21 +218,15 @@ def _cmd_hooks(args, parser) -> int:
             s_key = _parse_positions(args.S)
         except argparse.ArgumentTypeError as exc:
             parser.error(str(exc))
-    try:  # hbb first, so a bad --S is reported even for a too-deep tree
+    try:
         hbb = second_kind_hooks(tree, s_key) if s_key is not None else None
-        h = standard_hooks(tree)
-        hcal = first_kind_hooks(tree)
     except ValueError as exc:
         parser.error(str(exc))
-    except RecursionError:
-        print(f"error: tree too deep for the hook walks ({len(args.code)} code characters)",
-              file=sys.stderr)
-        return 2
     # The hooks come in preorder over internal vertices, and the code is the
     # preorder over all vertices, so each vertex's index is where its '1' is.
     indices = [pos for pos, ch in enumerate(args.code) if ch == "1"]
     columns = ["index", "h", "hcal"]
-    values = [indices, h, hcal]
+    values = [indices, standard_hooks(tree), first_kind_hooks(tree)]
     if hbb is not None:
         columns.append("hbb")
         values.append(hbb)

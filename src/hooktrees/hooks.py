@@ -34,7 +34,9 @@ mode starts an empty memo, and a full memo, one of ``_SUBTREE_LIST_CAP``
 entries, is cleared before it takes another.  An enumerated tree whose
 root children all hit the memo then costs one ``_walk`` frame below the
 public function: the mode check, O(arity) dictionary lookups and one copy
-of its preorder list.
+of its preorder list.  A tree deeper than the recursion limit is walked
+again on an explicit stack (``_deep_walk``).  ``forest_hooks`` memoizes
+the shared plane trees of ``enumerate_forests`` the same way.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def _walk(
     memoized; ``listed`` is read from the subtree lists on the first miss.
     """
     global _state
-    if memo is None:
+    top = memo is None
+    if top:
         arity, pruned, mode_first, memo = state = _state
         if node.arity != arity or positions is not pruned or first is not mode_first:
             pruned = _position_set(positions, node.arity)
@@ -94,25 +97,53 @@ def _walk(
             return 0, []
     out = [0]
     total = 1
-    for pos, child in enumerate(node, start=1):
-        sub = 0
-        if child:
-            hit = memo.get(id(child))
-            if hit is None:
-                if listed is None:
-                    listed = len(trees._SUBTREE_LISTS.get(arity, ())) - 1
-                sub, below = _walk(child, positions, first, memo, listed)
-                if len(below) <= listed:
-                    if len(memo) >= trees._SUBTREE_LIST_CAP:
-                        memo.clear()
-                    memo[id(child)] = (sub, below, child)
-            else:
-                sub, below, _ = hit
-            out += below
-            if pos not in positions:
-                total += sub
+    try:
+        for pos, child in enumerate(node, start=1):
+            sub = 0
+            if child:
+                hit = memo.get(id(child))
+                if hit is None:
+                    if listed is None:
+                        listed = len(trees._SUBTREE_LISTS.get(arity, ())) - 1
+                    sub, below = _walk(child, positions, first, memo, listed)
+                    if len(below) <= listed:
+                        if len(memo) >= trees._SUBTREE_LIST_CAP:
+                            memo.clear()
+                        memo[id(child)] = (sub, below, child)
+                else:
+                    sub, below, _ = hit
+                out += below
+                if pos not in positions:
+                    total += sub
+    except RecursionError:
+        if not top:
+            raise
+        return 0, _deep_walk(node, arity, positions, first)
     out[0] = total - sub if first else total
     return total, out
+
+
+def _deep_walk(root: Node, arity: int, positions: frozenset[int], first: bool) -> list[int]:
+    """``_walk``'s list for a tree too deep to recurse, from an explicit stack.
+
+    A vertex's slot index goes on the stack beneath its children, and is
+    filled when popped from the ``arity`` totals its children left last.
+    """
+    out, totals, stack = [], [], [root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is int:
+            subs = totals[-arity:]
+            del totals[-arity:]
+            total = 1 + sum(t for pos, t in enumerate(subs, 1) if pos not in positions)
+            out[node] = total - subs[-1] if first else total
+            totals.append(total)
+        elif node:
+            stack += (len(out), *node[::-1])
+            out.append(0)
+        else:
+            totals.append(0)
+    return out
 
 
 def standard_hooks(tree: MAryTree) -> list[int]:
@@ -145,25 +176,40 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
 
     Preorder across the whole forest, trees left to right; a childless
     vertex counts, unlike an m-ary leaf, so this walk is the forest's own.
-    The root of each component tree gets that tree's vertex count.  H_v is
-    the size of v's subtree: the walk pushes v's preorder slot beneath its
-    children, and when it pops that slot again the subtree fills the slots
-    from it to the end of the list.  The stack is explicit, so depth costs
-    no recursion.
+    H_v is the size of v's subtree: the walk pushes v's preorder slot
+    beneath its children, and when it pops that slot again the subtree
+    fills the slots from it to the end of the list, so depth costs no
+    recursion.  Like ``_walk``'s subtrees, a component tree's list is
+    memoized by pinned ``id`` if the tree is no larger than the pullback
+    of a listed binary subtree.
     """
     out: list[int] = []
-    stack: list = list(reversed(forest.trees))
-    while stack:
-        node = stack.pop()
-        if node.__class__ is int:
-            out[node] = len(out) - node
-        elif node:
-            stack.append(len(out))
-            out.append(0)
-            stack += reversed(node)
-        else:
-            out.append(1)
+    for tree in forest.trees:
+        hit = _forest_memo.get(id(tree))
+        if hit is not None:
+            out += hit[0]
+            continue
+        start, stack = len(out), [tree]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is int:
+                out[node] = len(out) - node
+            elif node:
+                stack.append(len(out))
+                out.append(0)
+                stack += reversed(node)
+            else:
+                out.append(1)
+        if len(out) - start <= len(trees._SUBTREE_LISTS.get(2, ())):
+            if len(_forest_memo) >= trees._SUBTREE_LIST_CAP:
+                _forest_memo.clear()
+            _forest_memo[id(tree)] = (out[start:], tree)
     return out
+
+
+# Component tree id -> (its preorder list, the tree).  A plane tree's hooks
+# have no mode, so one memo serves every caller.
+_forest_memo: dict[int, tuple[list[int], Node]] = {}
 
 
 def _rebuild(root: Node, expand) -> Node:
@@ -244,12 +290,12 @@ def compose(
     s subtrees per internal skeleton vertex, in decompose order.
     """
     pieces = list(forest)
-    s_sorted = sorted(positions)
-    pruned = frozenset(s_sorted)
-    if len(pruned) != len(s_sorted):
-        raise ValueError("duplicate pruned positions")
+    given = list(positions)
+    pruned = frozenset(given)
     arity = skeleton.arity + len(pruned)
     _position_set(pruned, arity)
+    if len(pruned) != len(given):
+        raise ValueError("duplicate pruned positions")
     for piece in pieces:
         if piece.arity != arity:
             raise ValueError(f"forest tree of arity {piece.arity}, expected {arity}")

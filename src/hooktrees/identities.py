@@ -444,30 +444,46 @@ def _run_one(args: tuple[IdentitySpec, bool]) -> VerificationReport:
     return VerificationReport(spec, None, None, False, 0, 0.0, note=note)
 
 
+def _mode_key(args: tuple[IdentitySpec, bool]) -> tuple:
+    """(universe, hook mode, n) of a spec, in ``_hook_values``' terms; invalid specs sort last."""
+    try:
+        spec = _validated(args[0])
+    except Exception:
+        return (1,)
+    row = FAMILY_TABLE[spec.family]
+    kind = "standard" if row.hooks == "second" and not spec.S else row.hooks
+    arity = 0 if row.arity is None else row.arity(spec.m)
+    return (0, arity, kind, sorted(spec.S or ()), spec.n)
+
+
 def verify_suite(
     grid: Iterable[IdentitySpec], jobs: int = 1, _corrupt_rhs: bool = False
 ) -> SuiteResult:
     """Run ``check_identity`` over a grid, optionally across processes.
 
-    The pool never has more workers than ``jobs``, the CPU count or the
-    number of specs.  Results are deterministic and independent of the
-    worker count: exact arithmetic makes the reductions order-free and
-    reports come back in grid order.  A spec with invalid parameters
-    yields a failed report carrying the error text instead of aborting the
-    run, and so does a spec whose check raises any other exception (its
-    note names the type).
+    Specs run grouped by hook mode (``_mode_key``), so a pass builds each
+    hook memo once and a pool worker's chunks share one.  The pool never
+    has more workers than ``jobs``, the CPU count or the number of specs.
+    Results are deterministic and independent of the worker count: exact
+    arithmetic makes the reductions order-free and reports come back in
+    grid order.  A spec with invalid parameters yields a failed report
+    carrying the error text instead of aborting the run, and so does a
+    spec whose check raises any other exception (its note names the type).
     """
     specs = [(spec, _corrupt_rhs) for spec in grid]
     start = perf_counter()
+    order = sorted(range(len(specs)), key=lambda i: _mode_key(specs[i]))
+    ordered = [specs[i] for i in order]
     workers = min(jobs, os.cpu_count() or 1, len(specs))
     if workers > 1:
         import multiprocessing  # only here, so that importing the package skips it
 
         with multiprocessing.Pool(workers) as pool:
-            reports = pool.map(_run_one, specs)
+            done = pool.map(_run_one, ordered)
     else:
-        reports = [_run_one(item) for item in specs]
-    return SuiteResult(tuple(reports), perf_counter() - start)
+        done = [_run_one(item) for item in ordered]
+    reports = tuple(report for _, report in sorted(zip(order, done)))
+    return SuiteResult(reports, perf_counter() - start)
 
 
 def ns_within_budget(arity: int, cap: int) -> list[int]:

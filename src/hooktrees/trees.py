@@ -17,6 +17,8 @@ enumeration of one arity builds its trees from the same child objects
 most sum_{k <= k_max} count_trees(m, k) nodes, k_max the largest listed
 size.  The order is canonical and documented on ``enumerate_trees`` so
 streams are reproducible and can be chunked for parallel consumption.
+``enumerate_forests`` pulls the binary stream back through one shared
+``psi_inverse`` forest per listed binary subtree, so forests share trees too.
 """
 
 from __future__ import annotations
@@ -299,9 +301,27 @@ def enumerate_forests(vertices: int) -> Iterator[PlaneForest]:
     """Yield every plane forest with the given vertex count exactly once.
 
     The stream is the ``psi_inverse`` pullback of ``enumerate_trees(2, n)``,
-    so its length is the Catalan number count_trees(2, n).
+    in that order, so its length is the Catalan number count_trees(2, n).
     """
     if vertices < 0:
         raise ValueError(f"need vertices >= 0, got {vertices}")
-    for tree in enumerate_trees(2, vertices):
-        yield psi_inverse(tree)
+    small = _subtree_lists(2, vertices)
+    for level in small:
+        if id(level[-1]) not in _PULLED:  # levels are mapped whole, smallest first
+            _PULLED.update((id(node), _pull(node)) for node in level)
+    for node in _nodes(2, vertices, small):
+        yield PlaneForest(_pull(node))
+
+
+# Listed binary subtree id -> its psi_inverse forest.  Listed subtrees are
+# never freed, so no id is reused and the lists bound the map.
+_PULLED: dict[int, tuple] = {id(LEAF): ()}
+
+
+def _pull(node: Node) -> tuple:
+    """The forest (pull(L),) + pull(R) of a node (L, R); the plane tree pull(L) is shared."""
+    forest = _PULLED.get(id(node))
+    if forest is None:
+        left, right = node
+        forest = (_pull(left),) + _pull(right)
+    return forest

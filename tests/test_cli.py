@@ -341,13 +341,20 @@ def test_hooks_rejects_malformed_code(capsys):
     assert "position 3" in err
 
 
-def test_hooks_reports_a_too_deep_tree(capsys):
-    code_text = "1" * 1200 + "0" * 1201
-    code, out, err = run(capsys, "hooks", "--arity", "2", "--code", code_text)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "too deep for the hook walks" in err
+@pytest.mark.parametrize("code_text, left", [("1" * 1200 + "0" * 1201, True), ("10" * 3000 + "0", False)],
+                         ids=["left-comb-1200", "right-comb-3000"])
+def test_hooks_handles_a_deep_tree(capsys, code_text, left):
+    # Past the recursion limit the hook walks fall back to an explicit stack.
+    # A comb's h runs L..1; the other two hooks are h or all 1 by its side.
+    code, out, err = run(capsys, "hooks", "--arity", "2", "--code", code_text,
+                         "--S", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    vertices = json.loads(out)["vertices"]
+    levels = code_text.count("1")
+    h, ones = list(range(levels, 0, -1)), [1] * levels
+    assert [v["h"] for v in vertices] == h
+    assert [v["hcal"] for v in vertices] == (h if left else ones)
+    assert [v["hbb"] for v in vertices] == (ones if left else h)
 
 
 def test_verify_text(capsys):

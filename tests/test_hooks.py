@@ -27,6 +27,7 @@ from hooktrees.trees import (
     enumerate_forests,
     enumerate_trees,
     psi,
+    psi_inverse,
 )
 
 from test_trees import mary_trees
@@ -226,15 +227,25 @@ def test_memo_stays_bounded_over_a_streamed_universe(kind, positions):
 
 def test_hook_modes_in_threads_do_not_mix():
     # More threads than cores, each in its own mode over one shared universe,
-    # switching often: a walk must never read another mode's memo.
+    # switching often: a walk must never read another mode's memo.  Two more
+    # threads share the forest memo, one of them on decoded forests.
     universe = list(enumerate_trees(3, 5))
     modes = [("standard", ()), ("first", ())] + [("second", frozenset({p})) for p in (1, 2)]
     expected = {mode: [oracle_hooks(tree, *mode) for tree in universe] for mode in modes}
+    forests = {"forest": list(enumerate_forests(6))}
+    forests["decoded"] = [psi_inverse(decode(psi(f).encode(), 2)) for f in forests["forest"]]
+    for kind in forests:
+        modes.append((kind, ()))
+        expected[kind, ()] = [first_kind_hooks(psi(f)) for f in forests[kind]]
     wrong = []
 
     def work(kind, positions):
         for _ in range(4):
-            if [HOOKS[kind](tree, positions) for tree in universe] != expected[kind, positions]:
+            if kind in forests:
+                got = [forest_hooks(forest) for forest in forests[kind]]
+            else:
+                got = [HOOKS[kind](tree, positions) for tree in universe]
+            if got != expected[kind, positions]:
                 wrong.append(kind)
 
     workers = [threading.Thread(target=work, args=mode) for mode in modes]
@@ -249,6 +260,32 @@ def test_hook_modes_in_threads_do_not_mix():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert wrong == []
+
+
+@pytest.mark.parametrize("levels", [3000, 100_000])
+def test_hooks_on_deep_combs(levels):
+    # Past the recursion limit the walk starts again on an explicit stack.
+    # A right comb's standard hooks run L..1 and its first-kind hooks are all
+    # 1; a left comb's are L..1 both.  Pruning the left children keeps the
+    # right comb whole and cuts the left comb to single vertices.
+    right = decode("10" * levels + "0", 2)
+    left = decode("1" * levels + "0" * (levels + 1), 2)
+    down, ones = list(range(levels, 0, -1)), [1] * levels
+    for tree, hcal, hbb in ((right, ones, down), (left, down, ones)):
+        assert standard_hooks(tree) == down
+        assert first_kind_hooks(tree) == hcal
+        assert second_kind_hooks(tree, {1}) == hbb
+    assert standard_hooks(TERNARY) == [3, 1, 1]  # and the recursive walk still runs
+
+
+@given(mary_trees(), st.data())
+def test_deep_walk_agrees_with_the_oracles(tree, data):
+    positions = data.draw(st.frozensets(st.integers(1, tree.arity - 1)))
+    if not tree.root:
+        return
+    for kind, pruned, first in (("standard", (), False), ("first", (), True), ("second", positions, False)):
+        deep = hooks._deep_walk(tree.root, tree.arity, frozenset(pruned), first)
+        assert deep == oracle_hooks(tree, kind, positions)
 
 
 def test_hook_lists_are_fresh_and_positions_checked_per_arity():
@@ -288,6 +325,55 @@ def test_forest_hooks_on_a_deep_path():
     assert forest_hooks(PlaneForest(((), path, ((),)))) == [1, *range(5000, 0, -1), 2, 1]
 
 
+def plain_forest_hooks(forest: PlaneForest) -> list[int]:
+    """Memo-free oracle: each vertex's subtree size, read off the preorder child counts."""
+    counts = forest._child_counts()[1:]
+    out = []
+    for i in range(len(counts)):
+        open_, j = 1, i
+        while open_:
+            open_ += counts[j] - 1
+            j += 1
+        out.append(j - i)
+    return out
+
+
+def test_memoized_forest_hooks_equal_a_memo_free_walk():
+    # Enumerated forests share their trees; decoded and deep ones come in
+    # between, are memoized and freed, and must never give a stale hit.
+    path = ()
+    for _ in range(4999):
+        path = (path,)
+    rng = Random(5)
+    codes = [tree.encode() for tree in enumerate_trees(2, 6)]
+    for n in range(10):
+        for i, forest in enumerate(enumerate_forests(n)):
+            assert forest_hooks(forest) == plain_forest_hooks(forest)
+            if i % 97 == 0:
+                decoded = psi_inverse(decode(rng.choice(codes), 2))
+                assert forest_hooks(decoded) == plain_forest_hooks(decoded)
+                deep = PlaneForest((*decoded.trees, path))
+                assert forest_hooks(deep) == plain_forest_hooks(decoded) + list(range(5000, 0, -1))
+                del decoded, deep
+    assert hooks._forest_memo
+
+
+def test_forest_memo_stays_bounded_over_a_streamed_universe():
+    # As for the m-ary memo: n = 12 streams the pullbacks of its size-10 and
+    # size-11 binary subtrees, and their plane trees miss the memo.
+    assert count_trees(2, 10) > trees._SUBTREE_LIST_CAP
+    for i, forest in enumerate(enumerate_forests(12)):
+        values = forest_hooks(forest)
+        if i % 5000 == 0:
+            assert values == plain_forest_hooks(forest)
+    listed = len(trees._SUBTREE_LISTS[2]) - 1
+    assert listed < 10
+    memo = hooks._forest_memo
+    assert 0 < len(memo) <= trees._SUBTREE_LIST_CAP
+    assert max(len(values) for values, _ in memo.values()) <= listed + 1
+    assert len(trees._PULLED) <= sum(map(len, trees._SUBTREE_LISTS[2]))
+
+
 def test_forest_hook_multiset_matches_first_kind_under_psi():
     # psi keeps preorder, so the hooks agree vertex by vertex, not just as multisets
     for n in range(7):
@@ -322,6 +408,10 @@ def test_compose_rejects_mismatches():
         compose(skeleton, (decode("1000", 3),), {2})  # too short
     with pytest.raises(ValueError):
         compose(skeleton, (decode("0", 2), decode("0", 2)), {2})  # wrong arity
+    skeleton, forest = decompose(decode("1100000", 3), {1})
+    for positions in ({1, "a"}, {1.5}, [1, 1]):  # validated before any sort
+        with pytest.raises(ValueError):
+            compose(skeleton, forest, positions)
 
 
 def test_decompose_compose_round_trip_exhaustive():

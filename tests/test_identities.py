@@ -3,14 +3,16 @@
 import multiprocessing
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hooktrees import identities
+from hooktrees import hooks, identities
 from hooktrees.algebra import ONE, Poly, X, rhs_binomial_poly, rhs_product_poly
 from hooktrees.hooks import first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks
 from hooktrees.identities import (
@@ -22,6 +24,10 @@ from hooktrees.identities import (
     check_identity,
     check_recurrence_thm1_1,
     default_grid,
+    grid_corollaries,
+    grid_priors,
+    grid_theorem1,
+    grid_theorem2,
     ns_within_budget,
     verify_suite,
 )
@@ -371,6 +377,37 @@ def test_verify_suite_parallel_matches_serial():
     assert [(r.lhs, r.rhs, r.passed) for r in serial.reports] == [
         (r.lhs, r.rhs, r.passed) for r in parallel.reports
     ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_suite_equals_per_spec_checks_on_a_shuffled_grid(jobs):
+    # The suite runs its specs grouped by hook mode; the reports must still be
+    # the per-spec ones, in grid order, invalid specs included.
+    grid = grid_theorem1(100) + grid_theorem2(100) + grid_priors(100) + grid_corollaries()[::7]
+    grid += [IdentitySpec("nope", n=1), IdentitySpec("thm1_1_eq1_6", m=1, n=2),
+             IdentitySpec(["duliu_1_2a"], m=2, n=3), IdentitySpec("thm1_2_eq5_1a", m=2, n=3, S={"1", 2})]
+    Random(jobs).shuffle(grid)
+    alone = [identities._run_one((spec, False)) for spec in grid]
+    suite = verify_suite(grid, jobs=jobs).reports
+    assert [replace(r, elapsed=0.0) for r in suite] == [replace(r, elapsed=0.0) for r in alone]
+
+
+def test_verify_suite_validates_each_hook_mode_once(monkeypatch):
+    # Grouped by mode, a shuffled grid selects each hook memo once: the
+    # position check runs once per mode change, so once per mode.
+    grid = grid_theorem1(500) + grid_theorem2(500)
+    Random(3).shuffle(grid)
+    modes = set()
+    for spec in grid:
+        row = FAMILY_TABLE[spec.family]
+        pruned = spec.S if row.hooks == "second" else frozenset()
+        modes.add((row.arity(spec.m), pruned, row.hooks == "first"))
+    checks = []
+    real = hooks._position_set
+    monkeypatch.setattr(hooks, "_position_set", lambda *args: checks.append(args) or real(*args))
+    monkeypatch.setattr(hooks, "_state", (0, hooks._NO_POSITIONS, False, {}))
+    assert verify_suite(grid).all_passed
+    assert len(checks) == len(modes)
 
 
 def test_default_grid_is_well_formed():

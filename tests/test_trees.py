@@ -301,6 +301,20 @@ def test_psi_maps_a_deep_path_and_round_trips():
     assert psi_inverse(psi(forest)) == forest
 
 
+@pytest.mark.parametrize("cap", [None, 0, 5])
+def test_enumerate_forests_is_the_pullback_in_order(monkeypatch, cap):
+    # A low cap streams the binary subtrees above it, and their pullbacks are
+    # built afresh; the listed ones are pulled back once and shared.
+    if cap is not None:
+        monkeypatch.setattr(trees, "_SUBTREE_LIST_CAP", cap)
+    for n in range(11 if cap is None else 8):
+        forests = list(enumerate_forests(n))
+        assert forests == [psi_inverse(tree) for tree in enumerate_trees(2, n)], n
+    if cap is None:
+        again = enumerate_forests(7)
+        assert all(a.trees[0] is b.trees[0] for a, b in zip(enumerate_forests(7), again))
+
+
 def test_enumerate_forests_counts():
     assert [f for f in enumerate_forests(0)] == [PlaneForest()]
     two = list(enumerate_forests(2))
