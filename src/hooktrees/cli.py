@@ -24,6 +24,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import Poly, closed_phi, solve_phi
 from .hooks import first_kind_hooks, second_kind_hooks, standard_hooks
@@ -137,6 +138,21 @@ def _parse_positions(text: str) -> frozenset[int]:
         raise argparse.ArgumentTypeError(f"bad position list {text!r}")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hooktrees",
@@ -146,80 +162,62 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count complete m-ary trees")
-    p.add_argument("--arity", type=int, required=True, help="arity m >= 2")
-    p.add_argument("--internal", type=int, required=True, help="internal vertex count n >= 0")
+    p.add_argument("--arity", type=_at_least(2), required=True, help="arity m >= 2")
+    p.add_argument("--internal", type=_at_least(0), required=True, help="internal vertex count n >= 0")
 
     p = sub.add_parser("enumerate", help="stream preorder codes in canonical order")
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--internal", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="stop after this many trees")
+    p.add_argument("--arity", type=_at_least(2), required=True)
+    p.add_argument("--internal", type=_at_least(0), required=True)
+    p.add_argument("--limit", type=_at_least(0), help="stop after this many trees")
 
     p = sub.add_parser("hooks", help="per-vertex hook statistics of one tree")
-    p.add_argument("--arity", type=int, required=True)
+    p.add_argument("--arity", type=_at_least(2), required=True)
     p.add_argument("--code", type=str, required=True, help="preorder 0/1 code")
-    p.add_argument("--S", type=str, default=None, help="pruned positions, e.g. 1,2")
+    p.add_argument("--S", type=_parse_positions, help="pruned positions, e.g. 1,2")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("verify", help="verify an identity family over a grid")
     p.add_argument("--family", type=str, required=True, choices=FAMILIES)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--S", type=str, default=None, help="positions like 1,2 or 'all'")
+    p.add_argument("--n-max", type=_at_least(0), required=True)
+    p.add_argument("--S", type=lambda t: t if t == "all" else _parse_positions(t), help="1,2 or 'all'")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     p.add_argument("--timing", action="store_true", help="include wall-clock elapsed_ms")
 
     p = sub.add_parser("series", help="solve a series recurrence and compare closed forms")
     p.add_argument("--solver", choices=("omega", "phi"), required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--s", type=int, default=None, help="composition power (phi only)")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--a", type=_at_least(1), required=True)
+    p.add_argument("--b", type=_at_least(1), required=True)
+    p.add_argument("--s", type=_at_least(0), help="composition power (phi only)")
+    p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return parser
 
 
 def _cmd_count(args, parser) -> int:
-    if args.arity < 2:
-        parser.error("--arity must be >= 2")
-    if args.internal < 0:
-        parser.error("--internal must be >= 0")
     print(count_trees(args.arity, args.internal))
     return 0
 
 
 def _cmd_enumerate(args, parser) -> int:
-    if args.arity < 2:
-        parser.error("--arity must be >= 2")
-    if args.internal < 0:
-        parser.error("--internal must be >= 0")
-    if args.limit is not None and args.limit < 0:
-        parser.error("--limit must be >= 0")
-    emitted = 0
-    for tree in enumerate_trees(args.arity, args.internal):
-        if args.limit is not None and emitted >= args.limit:
-            break
-        print(tree.encode())
-        emitted += 1
+    try:
+        for tree in islice(enumerate_trees(args.arity, args.internal), args.limit):
+            print(tree.encode())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_hooks(args, parser) -> int:
-    if args.arity < 2:
-        parser.error("--arity must be >= 2")
     try:
         tree = decode(args.code, args.arity)
     except DecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    s_key = None
-    if args.S is not None:
-        try:
-            s_key = _parse_positions(args.S)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
     try:
-        hbb = second_kind_hooks(tree, s_key) if s_key is not None else None
+        hbb = second_kind_hooks(tree, args.S) if args.S is not None else None
     except ValueError as exc:
         parser.error(str(exc))
     # The hooks come in preorder over internal vertices, and the code is the
@@ -231,7 +229,7 @@ def _cmd_hooks(args, parser) -> int:
         columns.append("hbb")
         values.append(hbb)
     rows = [dict(zip(columns, vertex)) for vertex in zip(*values)]
-    s_list = sorted(s_key) if s_key is not None else None
+    s_list = sorted(args.S) if args.S is not None else None
     doc = {"arity": args.arity, "code": args.code, "S": s_list, "vertices": rows}
     # The title row goes through the same right-aligned layout as the values.
     titles = dict(zip(columns, ["index", "h", "hcal", f"hbb{{{_cell(s_list)}}}"]))
@@ -252,10 +250,6 @@ def _cmd_verify(args, parser) -> int:
             parser.error(f"--m is not accepted by family {family}")
     elif args.m is None:
         parser.error(f"--family {family} requires --m")
-    if args.n_max < 0:
-        parser.error("--n-max must be >= 0")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     subsets: list[frozenset[int] | None] = [None]
     if args.S is not None:
@@ -266,10 +260,7 @@ def _cmd_verify(args, parser) -> int:
         elif args.S == "all":
             subsets = list(all_position_subsets(args.m))
         else:
-            try:
-                subsets = [_parse_positions(args.S)]
-            except argparse.ArgumentTypeError as exc:
-                parser.error(str(exc))
+            subsets = [args.S]
 
     grid = [
         IdentitySpec(family, m=args.m, n=n, S=subset)
@@ -282,15 +273,9 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_series(args, parser) -> int:
-    if args.a < 1 or args.b < 1:
-        parser.error("--a and --b must be >= 1")
-    if args.order < 0:
-        parser.error("--order must be >= 0")
     if args.solver == "omega" and args.s is not None:
         parser.error("--s is only accepted by the phi solver")
     s = args.s or 0  # omega is phi with s = 0
-    if s < 0:
-        parser.error("--s must be >= 0")
     series = solve_phi(args.a, args.b, s, args.order)
 
     rows = []

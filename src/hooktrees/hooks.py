@@ -23,28 +23,24 @@ skeleton plus the ordered forest of deleted subtrees.
 
 A vertex's values depend only on its own subtree, and ``enumerate_trees``
 builds every tree of an arity from the same listed subtree objects.  So
-``_walk`` memoizes each proper subtree it walks, keyed by ``id`` of the
-node, as (total, preorder list, node): the stored node pins the id, so a
-freed id can never be reused for a stale hit.  Keying by value would hash
-a nested tuple, which recurses in C and crashes the interpreter on deep
-trees.  Only subtrees no larger than the largest listed size are stored,
-never the root, and the list handed to the caller is always fresh.  The
-memo serves one mode (arity, pruned positions, first) at a time: a new
-mode starts an empty memo, and a full memo, one of ``_SUBTREE_LIST_CAP``
-entries, is cleared before it takes another.  An enumerated tree whose
-root children all hit the memo then costs one ``_walk`` frame below the
-public function: the mode check, O(arity) dictionary lookups and one copy
-of its preorder list.  A tree deeper than the recursion limit is walked
-again on an explicit stack (``_deep_walk``).  ``forest_hooks`` memoizes
-the shared plane trees of ``enumerate_forests`` the same way.
+``_walk`` memoizes, by ``id``, each proper subtree that ``trees`` holds for
+good (``trees._SHARED``): no such id is ever reused, so an entry pins no
+node, and the subtree lists bound the memo, so it is never cleared.  Keying
+by value would hash a nested tuple, which recurses in C and crashes the
+interpreter on deep trees.  The memo serves one mode (arity, pruned
+positions, first) at a time.  An enumerated tree whose root children all
+hit it costs one ``_walk`` frame: the mode check, O(arity) lookups and one
+copy of its preorder list, always a fresh list.  A tree deeper than the
+recursion limit is walked again on an explicit stack (``_deep_walk``).
+``forest_hooks`` memoizes the shared plane trees of ``enumerate_forests``
+the same way.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from . import trees
-from .trees import LEAF, MAryTree, Node, PlaneForest
+from .trees import _SHARED, LEAF, MAryTree, Node, PlaneForest
 
 
 def _position_set(positions: Iterable[int], arity: int) -> frozenset[int]:
@@ -71,7 +67,6 @@ def _walk(
     positions: Iterable[int],
     first: bool,
     memo: dict | None = None,
-    listed: int | None = None,
 ) -> tuple[int, list[int]]:
     """(total, preorder list) of an internal node, or of a tree when ``memo`` is None.
 
@@ -80,8 +75,7 @@ def _walk(
     total less the last child's (``positions`` is then empty).  Called on a
     tree, the walk first selects the mode's memo and validates the positions
     once per mode, not once per tree, and then walks the root's children in
-    the same frame.  Children of at most ``listed`` internal vertices are
-    memoized; ``listed`` is read from the subtree lists on the first miss.
+    the same frame.  Children whose id is in ``_SHARED`` are memoized.
     """
     global _state
     top = memo is None
@@ -103,15 +97,11 @@ def _walk(
             if child:
                 hit = memo.get(id(child))
                 if hit is None:
-                    if listed is None:
-                        listed = len(trees._SUBTREE_LISTS.get(arity, ())) - 1
-                    sub, below = _walk(child, positions, first, memo, listed)
-                    if len(below) <= listed:
-                        if len(memo) >= trees._SUBTREE_LIST_CAP:
-                            memo.clear()
-                        memo[id(child)] = (sub, below, child)
+                    sub, below = _walk(child, positions, first, memo)
+                    if id(child) in _SHARED:
+                        memo[id(child)] = (sub, below)
                 else:
-                    sub, below, _ = hit
+                    sub, below = hit
                 out += below
                 if pos not in positions:
                     total += sub
@@ -180,14 +170,14 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
     beneath its children, and when it pops that slot again the subtree
     fills the slots from it to the end of the list, so depth costs no
     recursion.  Like ``_walk``'s subtrees, a component tree's list is
-    memoized by pinned ``id`` if the tree is no larger than the pullback
-    of a listed binary subtree.
+    memoized by ``id`` if the tree is in ``_SHARED``, the pullback of a
+    listed binary subtree.
     """
     out: list[int] = []
     for tree in forest.trees:
         hit = _forest_memo.get(id(tree))
         if hit is not None:
-            out += hit[0]
+            out += hit
             continue
         start, stack = len(out), [tree]
         while stack:
@@ -200,16 +190,14 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
                 stack += reversed(node)
             else:
                 out.append(1)
-        if len(out) - start <= len(trees._SUBTREE_LISTS.get(2, ())):
-            if len(_forest_memo) >= trees._SUBTREE_LIST_CAP:
-                _forest_memo.clear()
-            _forest_memo[id(tree)] = (out[start:], tree)
+        if id(tree) in _SHARED:
+            _forest_memo[id(tree)] = out[start:]
     return out
 
 
-# Component tree id -> (its preorder list, the tree).  A plane tree's hooks
-# have no mode, so one memo serves every caller.
-_forest_memo: dict[int, tuple[list[int], Node]] = {}
+# Shared component tree id -> its preorder list.  A plane tree's hooks have no
+# mode, so one memo serves every caller.
+_forest_memo: dict[int, list[int]] = {}
 
 
 def _rebuild(root: Node, expand) -> Node:

@@ -445,15 +445,14 @@ def _run_one(args: tuple[IdentitySpec, bool]) -> VerificationReport:
 
 
 def _mode_key(args: tuple[IdentitySpec, bool]) -> tuple:
-    """(universe, hook mode, n) of a spec, in ``_hook_values``' terms; invalid specs sort last."""
+    """The hook walk's mode of a spec, (arity or 0 for forests, first, S), then n; invalid specs last."""
     try:
         spec = _validated(args[0])
     except Exception:
         return (1,)
     row = FAMILY_TABLE[spec.family]
-    kind = "standard" if row.hooks == "second" and not spec.S else row.hooks
     arity = 0 if row.arity is None else row.arity(spec.m)
-    return (0, arity, kind, sorted(spec.S or ()), spec.n)
+    return (0, arity, row.hooks == "first", sorted(spec.S or ()), spec.n)
 
 
 def verify_suite(

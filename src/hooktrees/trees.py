@@ -12,18 +12,22 @@ Enumeration is streaming: memory stays proportional to the tree depth
 plus the lists of all subtrees of each size that has at most
 ``_SUBTREE_LIST_CAP`` of them, never to the (Fuss-Catalan sized) stream
 length.  Those lists are kept per arity and extended on demand, so every
-enumeration of one arity builds its trees from the same child objects
-(which lets ``hooks`` memoize a listed subtree by identity); they hold at
-most sum_{k <= k_max} count_trees(m, k) nodes, k_max the largest listed
-size.  The order is canonical and documented on ``enumerate_trees`` so
-streams are reproducible and can be chunked for parallel consumption.
-``enumerate_forests`` pulls the binary stream back through one shared
-``psi_inverse`` forest per listed binary subtree, so forests share trees too.
+enumeration of one arity builds its trees from the same child objects;
+they hold at most sum_{k <= k_max} count_trees(m, k) nodes, k_max the
+largest listed size.  The order is canonical and documented on
+``enumerate_trees`` so streams are reproducible and can be chunked for
+parallel consumption.  ``enumerate_forests`` pulls the binary stream back
+through one shared ``psi_inverse`` forest per listed binary subtree, so
+forests share trees too.  These nodes live as long as the process, so
+their ids, in ``_SHARED``, are never reused: ``hooks`` memoizes exactly
+them.  A lock builds, maps and marks each level once across threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from itertools import product, repeat
 from typing import Iterator
@@ -166,7 +170,15 @@ def enumerate_trees(arity: int, internal: int) -> Iterator[MAryTree]:
     if arity < 1 or internal < 0:
         raise ValueError(f"need arity >= 1 and internal >= 0, got {arity}, {internal}")
     small = _subtree_lists(arity, internal)
-    yield from map(MAryTree, repeat(arity), _nodes(arity, internal, small))
+    try:
+        yield from map(MAryTree, repeat(arity), _nodes(arity, internal, small))
+    except RecursionError:
+        raise _too_deep(internal) from None
+
+
+def _too_deep(n: int) -> ValueError:
+    # Streaming nests a few generators per size above the listed ones.
+    return ValueError(f"enumerating n = {n} goes past the recursion limit ({sys.getrecursionlimit()})")
 
 
 # Subtrees of every size k whose count_trees(arity, k) is at most this many
@@ -177,6 +189,11 @@ _SUBTREE_LIST_CAP = 2**14
 # Per arity, the subtree lists of sizes 0, 1, ... built so far.
 _SUBTREE_LISTS: dict[int, list[list[Node]]] = {}
 
+# Ids of the nodes held for good: every listed subtree and every plane tree
+# in ``_PULLED``.  Levels are extended, mapped and marked under ``_LOCK``.
+_SHARED: set[int] = {id(LEAF)}
+_LOCK = threading.Lock()
+
 
 def _subtree_lists(m: int, n: int) -> list[list[Node]]:
     """All subtrees of sizes 0..k in canonical order, for the largest k < n within the cap."""
@@ -184,7 +201,10 @@ def _subtree_lists(m: int, n: int) -> list[list[Node]]:
     k = 1
     while k < n and count_trees(m, k) <= _SUBTREE_LIST_CAP:
         if k == len(small):
-            small.append(list(_nodes(m, k, small)))
+            with _LOCK:
+                if k == len(small):
+                    small.append(list(_nodes(m, k, small)))
+                    _SHARED.update(map(id, small[k]))
         k += 1
     return small[:k]
 
@@ -308,13 +328,19 @@ def enumerate_forests(vertices: int) -> Iterator[PlaneForest]:
     small = _subtree_lists(2, vertices)
     for level in small:
         if id(level[-1]) not in _PULLED:  # levels are mapped whole, smallest first
-            _PULLED.update((id(node), _pull(node)) for node in level)
-    for node in _nodes(2, vertices, small):
-        yield PlaneForest(_pull(node))
+            with _LOCK:
+                if id(level[-1]) not in _PULLED:
+                    _PULLED.update((id(node), _pull(node)) for node in level)
+                    _SHARED.update(id(_PULLED[id(node)]) for node in level)
+    try:
+        for node in _nodes(2, vertices, small):
+            yield PlaneForest(_pull(node))
+    except RecursionError:
+        raise _too_deep(vertices) from None
 
 
-# Listed binary subtree id -> its psi_inverse forest.  Listed subtrees are
-# never freed, so no id is reused and the lists bound the map.
+# Listed binary subtree id -> its psi_inverse forest, also the plane tree over
+# it.  Listed subtrees are never freed, so no id is reused and the lists bound the map.
 _PULLED: dict[int, tuple] = {id(LEAF): ()}
 
 

@@ -41,6 +41,37 @@ def test_enumerate(capsys):
     assert out == "0\n"
 
 
+def test_enumerate_too_deep_is_one_error_line(capsys):
+    code, out, err = run(capsys, "enumerate", "--arity", "2", "--internal", "500", "--limit", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --arity 1 --internal 2",
+        "count --arity 2 --internal -1",
+        "enumerate --arity 1 --internal 2",
+        "enumerate --arity 2 --internal -1",
+        "enumerate --arity 2 --internal 2 --limit -1",
+        "hooks --arity 1 --code 0",
+        "verify --family lascoux_1_1 --n-max -1",
+        "verify --family lascoux_1_1 --n-max 2 --jobs 0",
+        "series --solver phi --a 0 --b 1 --order 2",
+        "series --solver phi --a 1 --b 0 --order 2",
+        "series --solver phi --a 1 --b 1 --s -1 --order 2",
+        "series --solver phi --a 1 --b 1 --order -1",
+        "series --solver phi --a 1 --b 1 --order two",
+    ],
+)
+def test_range_checks_are_declared_on_the_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert "expected an integer >= " in capsys.readouterr().err
+
+
 def test_hooks_table(capsys):
     code, out, _ = run(capsys, "hooks", "--arity", "2", "--code", "11000")
     assert code == 0

@@ -188,13 +188,10 @@ def test_interleaved_hook_calls_agree_with_the_oracles(data):
         assert HOOKS[kind](tree, positions) == oracle_hooks(tree, kind, positions)
 
 
-@pytest.mark.parametrize("cap", [None, 16])
-def test_hooks_stay_right_when_trees_are_dropped(monkeypatch, cap):
-    # Decoded subtrees are memoized by id and then freed with their tree: a
-    # later tree must never get a stale hit from a reused id.
+def test_hooks_stay_right_when_trees_are_dropped():
+    # Decoded subtrees are freed with their tree: a later tree must never get
+    # a stale hit from a reused id.
     list(enumerate_trees(2, 8))  # lists the subtrees up to size 7
-    if cap is not None:
-        monkeypatch.setattr(trees, "_SUBTREE_LIST_CAP", cap)
     codes = [tree.encode() for n in range(8) for tree in enumerate_trees(2, n)]
     rng = Random(11)
     for _ in range(600):
@@ -212,17 +209,53 @@ def test_hooks_stay_right_when_trees_are_dropped(monkeypatch, cap):
 )
 def test_memo_stays_bounded_over_a_streamed_universe(kind, positions):
     # count_trees(2, 10) is above the cap, so n = 11 streams its size-10 subtrees,
-    # and the root's children of that size miss the memo.
+    # and the root's children of that size miss the memo.  Every listed
+    # subtree of sizes 1..9 is met, and only those are memoized.
     assert count_trees(2, 10) > trees._SUBTREE_LIST_CAP
     for i, tree in enumerate(enumerate_trees(2, 11)):
         values = HOOKS[kind](tree, positions)
         if i % 5000 == 0:
             assert values == oracle_hooks(tree, kind, positions)
-    listed = len(trees._SUBTREE_LISTS[2]) - 1
-    assert listed < 10
+    levels = trees._SUBTREE_LISTS[2]
+    assert len(levels) - 1 < 10
     memo = hooks._state[-1]
-    assert 0 < len(memo) <= trees._SUBTREE_LIST_CAP
-    assert max(len(below) for _, below, _ in memo.values()) <= listed
+    assert len(memo) == sum(map(len, levels[1:])) == 6917
+    assert set(memo) <= trees._SHARED
+    assert max(len(below) for _, below in memo.values()) <= len(levels) - 1
+
+
+def _memoized_nodes_are_shared(memo, kept):
+    return memo and set(memo) <= trees._SHARED and not set(memo) & kept
+
+
+def test_memos_never_hold_decoded_nodes():
+    # Decoded trees and forests come between enumerated ones in every hook
+    # mode.  They stay alive, so their ids cannot be reused, and no memo may
+    # hold any of them.
+    rng = Random(3)
+    kept = set()
+    for arity, n in ((2, 8), (3, 5)):
+        universe = list(enumerate_trees(arity, n))
+        decoded = [decode(rng.choice(universe).encode(), arity) for _ in range(40)]
+        kept.update(id(node) for tree in decoded for node in internal_nodes(tree))
+        modes = [("standard", ()), ("first", ())] + [("second", s) for s in _subsets(arity - 1)[1:]]
+        for kind, positions in modes:
+            for i, tree in enumerate(universe):
+                assert HOOKS[kind](tree, positions) == oracle_hooks(tree, kind, positions)
+                if i % 10 == 0:
+                    other = decoded[i // 10 % len(decoded)]
+                    assert HOOKS[kind](other, positions) == oracle_hooks(other, kind, positions)
+            assert _memoized_nodes_are_shared(hooks._state[-1], kept)
+    forests = list(enumerate_forests(8))
+    decoded = [psi_inverse(decode(psi(rng.choice(forests)).encode(), 2)) for _ in range(40)]
+    # a one-vertex tree is the one object (), the leaf's pullback
+    kept.update(id(tree) for forest in decoded for tree in forest.trees if tree)
+    for i, forest in enumerate(forests):
+        assert forest_hooks(forest) == plain_forest_hooks(forest)
+        if i % 10 == 0:
+            other = decoded[i // 10 % len(decoded)]
+            assert forest_hooks(other) == plain_forest_hooks(other)
+    assert _memoized_nodes_are_shared(hooks._forest_memo, kept)
 
 
 def test_hook_modes_in_threads_do_not_mix():
@@ -366,12 +399,13 @@ def test_forest_memo_stays_bounded_over_a_streamed_universe():
         values = forest_hooks(forest)
         if i % 5000 == 0:
             assert values == plain_forest_hooks(forest)
-    listed = len(trees._SUBTREE_LISTS[2]) - 1
-    assert listed < 10
+    levels = trees._SUBTREE_LISTS[2]
+    assert len(levels) - 1 < 10
+    # the pullbacks of the listed subtrees, the leaf's () included, and no more
     memo = hooks._forest_memo
-    assert 0 < len(memo) <= trees._SUBTREE_LIST_CAP
-    assert max(len(values) for values, _ in memo.values()) <= listed + 1
-    assert len(trees._PULLED) <= sum(map(len, trees._SUBTREE_LISTS[2]))
+    assert len(memo) == len(trees._PULLED) == sum(map(len, levels)) == 6918
+    assert set(memo) <= trees._SHARED
+    assert max(map(len, memo.values())) <= len(levels)
 
 
 def test_forest_hook_multiset_matches_first_kind_under_psi():

@@ -1,5 +1,6 @@
 """Tree/forest enumeration, preorder codes, and the forest bijection."""
 
+import json
 import os
 import subprocess
 import sys
@@ -142,6 +143,78 @@ def test_enumeration_is_lazy():
     first = list(islice(enumerate_trees(2, 40), 3))
     assert len(first) == 3
     assert first[0].internal_count() == 40
+
+
+@pytest.mark.parametrize(
+    "stream", [lambda: enumerate_trees(2, 500), lambda: enumerate_forests(500)], ids=["trees", "forests"]
+)
+def test_too_deep_an_enumeration_names_n_and_the_limit(stream):
+    # Streaming nests a few generators per size above the listed ones.
+    with pytest.raises(ValueError, match=rf"n = 500 .*\({sys.getrecursionlimit()}\)"):
+        next(stream())
+
+
+@pytest.mark.parametrize("m, n", [(2, 11), (3, 8)])
+def test_small_subtrees_of_enumerated_trees_are_shared(m, n):
+    # The hook memos store only ids in ``trees._SHARED``.  If the enumerator
+    # built a subtree no larger than the largest listed size afresh, they
+    # would silently stop hitting on it.
+    fresh_sizes = set()
+    for tree in enumerate_trees(m, n):
+        stack = list(tree.root)
+        while stack:
+            node = stack.pop()
+            if id(node) not in trees._SHARED:
+                fresh_sizes.add(MAryTree(m, node).internal_count())
+                stack += node
+    levels = trees._SUBTREE_LISTS[m]
+    assert all(size > len(levels) - 1 for size in fresh_sizes)
+    # a listed subtree's own subtrees are listed too
+    assert all(id(child) in trees._SHARED for level in levels for node in level for child in node)
+
+
+def test_first_use_of_an_arity_in_threads_lists_each_level_once():
+    # Eight threads at a time make the first use of arities 3, 4 and 5 and of
+    # the pullbacks, switching as often as possible.  The lists are global to
+    # the process, so the check runs in a fresh one.
+    script = (
+        "import json, sys, threading\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "from hooktrees import trees\n"
+        "from hooktrees.identities import IdentitySpec, check_identity\n"
+        "specs = [IdentitySpec('thm1_1_eq1_7', m=3, n=7), IdentitySpec('thm1_1_eq1_7', m=4, n=6),\n"
+        "         IdentitySpec('thm1_1_eq1_7', m=5, n=5), IdentitySpec('forest_1_3b', n=9)]\n"
+        "reports = []\n"
+        "threads = [threading.Thread(target=lambda s=s: reports.append(check_identity(s)))\n"
+        "           for s in specs for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=120)\n"
+        "lists = trees._SUBTREE_LISTS\n"
+        "print(json.dumps({\n"
+        "    'alive': sum(t.is_alive() for t in threads),\n"
+        "    'reports': sorted((r.spec.m or 0, r.passed, r.trees_visited) for r in reports),\n"
+        "    'levels': {m: [len(level) for level in lists[m]] for m in (2, 3, 4, 5)},\n"
+        "    'unshared': sum(id(node) not in trees._SHARED for levels in lists.values()\n"
+        "                    for level in levels for node in level)\n"
+        "                + sum(id(tree) not in trees._SHARED for tree in trees._PULLED.values()),\n"
+        "    'pulled': len(trees._PULLED),\n"
+        "}))\n"
+    )
+    src = str(Path(trees.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["alive"] == 0
+    expected = {0: count_trees(2, 9), 3: count_trees(3, 7), 4: count_trees(4, 6), 5: count_trees(5, 5)}
+    assert got["reports"] == sorted([m, True, count] for m, count in expected.items() for _ in range(8))
+    for m, sizes in got["levels"].items():
+        assert sizes == [count_trees(int(m), k) for k in range(len(sizes))]
+    assert got["unshared"] == 0
+    assert got["pulled"] == sum(got["levels"]["2"])
 
 
 def test_encode_examples():
