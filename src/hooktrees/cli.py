@@ -250,6 +250,8 @@ def _cmd_verify(args, parser) -> int:
             parser.error(f"--m is not accepted by family {family}")
     elif args.m is None:
         parser.error(f"--family {family} requires --m")
+    if args.n_max < row.min_n:
+        parser.error(f"--n-max {args.n_max} is below min_n = {row.min_n} of family {family}")
 
     subsets: list[frozenset[int] | None] = [None]
     if args.S is not None:

@@ -1,8 +1,8 @@
 """Hook statistics on complete m-ary trees and plane forests.
 
 Three statistics are computed for every internal vertex v of an m-ary
-tree by one recursive walk, ``_walk``, and returned as a list in
-preorder over the internal vertices:
+tree by one walk, ``_walk``, and returned as a list in preorder over the
+internal vertices:
 
 * ``standard_hooks``     h_v   -- internal vertices in the subtree at v.
 * ``first_kind_hooks``   hcal  -- internal vertices left in that subtree
@@ -29,11 +29,9 @@ node, and the subtree lists bound the memo, so it is never cleared.  Keying
 by value would hash a nested tuple, which recurses in C and crashes the
 interpreter on deep trees.  The memo serves one mode (arity, pruned
 positions, first) at a time.  An enumerated tree whose root children all
-hit it costs one ``_walk`` frame: the mode check, O(arity) lookups and one
-copy of its preorder list, always a fresh list.  A tree deeper than the
-recursion limit is walked again on an explicit stack (``_deep_walk``).
-``forest_hooks`` memoizes the shared plane trees of ``enumerate_forests``
-the same way.
+hit it costs the mode check, O(arity) lookups and one copy of its preorder
+list, always a fresh list.  ``forest_hooks`` memoizes the shared plane
+trees of ``enumerate_forests`` the same way.
 """
 
 from __future__ import annotations
@@ -62,83 +60,60 @@ _NO_POSITIONS: frozenset[int] = frozenset()
 _state: tuple[int, frozenset[int], bool, dict] = (0, _NO_POSITIONS, False, {})
 
 
-def _walk(
-    node: MAryTree | Node,
-    positions: Iterable[int],
-    first: bool,
-    memo: dict | None = None,
-) -> tuple[int, list[int]]:
-    """(total, preorder list) of an internal node, or of a tree when ``memo`` is None.
+def _walk(tree: MAryTree, positions: Iterable[int], first: bool) -> list[int]:
+    """Preorder list of a tree's values in the mode (arity, positions, first).
 
     A vertex's total is 1 plus the totals of its children at positions
     outside ``positions``; its slot holds that total, or with ``first`` the
-    total less the last child's (``positions`` is then empty).  Called on a
-    tree, the walk first selects the mode's memo and validates the positions
-    once per mode, not once per tree, and then walks the root's children in
-    the same frame.  Children whose id is in ``_SHARED`` are memoized.
+    total less the last child's (``positions`` is then empty).  The walk
+    selects the mode's memo and validates the positions once per mode, not
+    once per tree.  One loop visits the vertices: memo hits and leaves are
+    taken in place, and a miss pushes (node, pos, total, slot) on ``parents``
+    and descends, so depth costs no recursion.  A finished non-root vertex
+    whose id is in ``_SHARED`` is memoized as (total, its preorder list).
     """
     global _state
-    top = memo is None
-    if top:
-        arity, pruned, mode_first, memo = state = _state
-        if node.arity != arity or positions is not pruned or first is not mode_first:
-            pruned = _position_set(positions, node.arity)
-            if (node.arity, pruned, first) != state[:3]:
-                memo = {}
-            _state = (node.arity, pruned, first, memo)
-        positions, arity, node = pruned, node.arity, node.root
-        if not node:
-            return 0, []
-    out = [0]
-    total = 1
-    try:
-        for pos, child in enumerate(node, start=1):
+    arity, pruned, mode_first, memo = state = _state
+    if tree.arity != arity or positions is not pruned or first is not mode_first:
+        pruned = _position_set(positions, tree.arity)
+        if (tree.arity, pruned, first) != state[:3]:
+            memo = {}
+        _state = (tree.arity, pruned, first, memo)
+    node = tree.root
+    if not node:
+        return []
+    out, parents = [0], []
+    pos, total, slot = 0, 1, 0
+    while True:
+        for child in node[pos:]:
+            pos += 1
             sub = 0
             if child:
                 hit = memo.get(id(child))
                 if hit is None:
-                    sub, below = _walk(child, positions, first, memo)
-                    if id(child) in _SHARED:
-                        memo[id(child)] = (sub, below)
-                else:
-                    sub, below = hit
+                    parents.append((node, pos, total, slot))
+                    node, pos, total, slot = child, 0, 1, len(out)
+                    out.append(0)
+                    break
+                sub, below = hit
                 out += below
-                if pos not in positions:
+                if pos not in pruned:
                     total += sub
-    except RecursionError:
-        if not top:
-            raise
-        return 0, _deep_walk(node, arity, positions, first)
-    out[0] = total - sub if first else total
-    return total, out
-
-
-def _deep_walk(root: Node, arity: int, positions: frozenset[int], first: bool) -> list[int]:
-    """``_walk``'s list for a tree too deep to recurse, from an explicit stack.
-
-    A vertex's slot index goes on the stack beneath its children, and is
-    filled when popped from the ``arity`` totals its children left last.
-    """
-    out, totals, stack = [], [], [root]
-    while stack:
-        node = stack.pop()
-        if node.__class__ is int:
-            subs = totals[-arity:]
-            del totals[-arity:]
-            total = 1 + sum(t for pos, t in enumerate(subs, 1) if pos not in positions)
-            out[node] = total - subs[-1] if first else total
-            totals.append(total)
-        elif node:
-            stack += (len(out), *node[::-1])
-            out.append(0)
         else:
-            totals.append(0)
-    return out
+            out[slot] = total - sub if first else total
+            if not parents:
+                return out
+            if id(node) in _SHARED:
+                memo[id(node)] = (total, out[slot:])
+            sub = total
+            node, pos, total, slot = parents.pop()
+            if pos not in pruned:
+                total += sub
 
 
 def standard_hooks(tree: MAryTree) -> list[int]:
     """h_v = 1 + sum of h over internal children, for every internal v."""
-    return _walk(tree, _NO_POSITIONS, False)[1]
+    return _walk(tree, _NO_POSITIONS, False)
 
 
 def first_kind_hooks(tree: MAryTree) -> list[int]:
@@ -147,7 +122,7 @@ def first_kind_hooks(tree: MAryTree) -> list[int]:
     Equivalently h_v minus the standard hook of v's rightmost child when
     that child is internal.
     """
-    return _walk(tree, _NO_POSITIONS, True)[1]
+    return _walk(tree, _NO_POSITIONS, True)
 
 
 def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> list[int]:
@@ -158,7 +133,7 @@ def second_kind_hooks(tree: MAryTree, positions: Iterable[int]) -> list[int]:
     would delete still get a value.  Agrees with standard hooks of
     ``prune`` applied at each vertex.
     """
-    return _walk(tree, positions, False)[1]
+    return _walk(tree, positions, False)
 
 
 def forest_hooks(forest: PlaneForest) -> list[int]:
@@ -169,9 +144,9 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
     H_v is the size of v's subtree: the walk pushes v's preorder slot
     beneath its children, and when it pops that slot again the subtree
     fills the slots from it to the end of the list, so depth costs no
-    recursion.  Like ``_walk``'s subtrees, a component tree's list is
-    memoized by ``id`` if the tree is in ``_SHARED``, the pullback of a
-    listed binary subtree.
+    recursion.  As ``_walk`` does for m-ary subtrees, it memoizes a
+    component tree's list by ``id`` if the tree is in ``_SHARED``, the
+    pullback of a listed binary subtree.
     """
     out: list[int] = []
     for tree in forest.trees:

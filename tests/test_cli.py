@@ -375,7 +375,7 @@ def test_hooks_rejects_malformed_code(capsys):
 @pytest.mark.parametrize("code_text, left", [("1" * 1200 + "0" * 1201, True), ("10" * 3000 + "0", False)],
                          ids=["left-comb-1200", "right-comb-3000"])
 def test_hooks_handles_a_deep_tree(capsys, code_text, left):
-    # Past the recursion limit the hook walks fall back to an explicit stack.
+    # The hook walks keep their own stack, so depth past the recursion limit is fine.
     # A comb's h runs L..1; the other two hooks are h or all 1 by its side.
     code, out, err = run(capsys, "hooks", "--arity", "2", "--code", code_text,
                          "--S", "1", "--format", "json")
@@ -468,6 +468,16 @@ def test_verify_rejects_bad_usage(capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+def test_verify_rejects_an_n_max_below_min_n(capsys):
+    # postnikov starts at n = 1, so --n-max 0 would leave the grid empty
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--family", "postnikov", "--n-max", "0"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "min_n = 1" in captured.err
+    assert run(capsys, "verify", "--family", "postnikov", "--n-max", "1")[0] == 0
 
 
 def test_verify_failure_exit_code(capsys):

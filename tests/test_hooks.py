@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from itertools import islice
 from random import Random
 
 import pytest
@@ -19,6 +20,7 @@ from hooktrees.hooks import (
     standard_hooks,
 )
 from hooktrees.trees import (
+    LEAF,
     MAryTree,
     Node,
     PlaneForest,
@@ -297,7 +299,7 @@ def test_hook_modes_in_threads_do_not_mix():
 
 @pytest.mark.parametrize("levels", [3000, 100_000])
 def test_hooks_on_deep_combs(levels):
-    # Past the recursion limit the walk starts again on an explicit stack.
+    # The walk keeps its own stack, so depth past the recursion limit is fine.
     # A right comb's standard hooks run L..1 and its first-kind hooks are all
     # 1; a left comb's are L..1 both.  Pruning the left children keeps the
     # right comb whole and cuts the left comb to single vertices.
@@ -308,17 +310,49 @@ def test_hooks_on_deep_combs(levels):
         assert standard_hooks(tree) == down
         assert first_kind_hooks(tree) == hcal
         assert second_kind_hooks(tree, {1}) == hbb
-    assert standard_hooks(TERNARY) == [3, 1, 1]  # and the recursive walk still runs
+    assert standard_hooks(TERNARY) == [3, 1, 1]  # and a shallow tree after them
 
 
 @given(mary_trees(), st.data())
 def test_deep_walk_agrees_with_the_oracles(tree, data):
+    # T hangs as the last child at the bottom of a 3,000-vertex right spine
+    # whose other children are leaves.  Spine vertex j, counted from the
+    # bottom, has h = |T| + j, hcal = 1 and hbb = hbb(T's root) + j.
     positions = data.draw(st.frozensets(st.integers(1, tree.arity - 1)))
-    if not tree.root:
-        return
-    for kind, pruned, first in (("standard", (), False), ("first", (), True), ("second", positions, False)):
-        deep = hooks._deep_walk(tree.root, tree.arity, frozenset(pruned), first)
-        assert deep == oracle_hooks(tree, kind, positions)
+    spine, node = 3000, tree.root
+    for _ in range(spine):
+        node = (LEAF,) * (tree.arity - 1) + (node,)
+    deep = MAryTree(tree.arity, node)
+    size = tree.internal_count()
+    below = oracle_hooks(tree, "second", positions)
+    expected = {
+        "standard": [size + j for j in range(spine, 0, -1)],
+        "first": [1] * spine,
+        "second": [(below[0] if below else 0) + j for j in range(spine, 0, -1)],
+    }
+    for kind, values in expected.items():
+        assert HOOKS[kind](deep, positions) == values + oracle_hooks(tree, kind, positions)
+
+
+def test_each_hook_call_is_one_walk_frame():
+    # Root children that miss the memo (each tree's size-10 child) and a
+    # comb past the recursion limit still cost no second _walk frame.
+    code, frames = hooks._walk.__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        frames += event == "call" and frame.f_code is code
+
+    shapes = [*islice(enumerate_trees(2, 11), 2000), decode("10" * 3000 + "0", 2)]
+    modes = (("standard", ()), ("first", ()), ("second", frozenset({1})))
+    sys.setprofile(count)
+    try:
+        for kind, positions in modes:
+            for tree in shapes:
+                HOOKS[kind](tree, positions)
+    finally:
+        sys.setprofile(None)
+    assert frames == len(modes) * len(shapes) == 6003
 
 
 def test_hook_lists_are_fresh_and_positions_checked_per_arity():
