@@ -30,8 +30,8 @@ by value would hash a nested tuple, which recurses in C and crashes the
 interpreter on deep trees.  The memo serves one mode (arity, pruned
 positions, first) at a time.  An enumerated tree whose root children all
 hit it costs the mode check, O(arity) lookups and one copy of its preorder
-list, always a fresh list.  ``forest_hooks`` memoizes the shared plane
-trees of ``enumerate_forests`` the same way.
+list, always a fresh list.  ``forest_hooks`` memoizes the same way each
+listed forest of ``trees``, read as the plane tree over it.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
     beneath its children, and when it pops that slot again the subtree
     fills the slots from it to the end of the list, so depth costs no
     recursion.  As ``_walk`` does for m-ary subtrees, it memoizes a
-    component tree's list by ``id`` if the tree is in ``_SHARED``, the
-    pullback of a listed binary subtree.
+    component tree's list by ``id`` if the tree is in ``_SHARED``: a listed
+    forest, read as the plane tree over it.
     """
     out: list[int] = []
     for tree in forest.trees:

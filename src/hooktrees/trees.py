@@ -16,11 +16,12 @@ enumeration of one arity builds its trees from the same child objects;
 they hold at most sum_{k <= k_max} count_trees(m, k) nodes, k_max the
 largest listed size.  The order is canonical and documented on
 ``enumerate_trees`` so streams are reproducible and can be chunked for
-parallel consumption.  ``enumerate_forests`` pulls the binary stream back
-through one shared ``psi_inverse`` forest per listed binary subtree, so
-forests share trees too.  These nodes live as long as the process, so
-their ids, in ``_SHARED``, are never reused: ``hooks`` memoizes exactly
-them.  A lock builds, maps and marks each level once across threads.
+parallel consumption.  ``enumerate_forests`` runs the same recursion under
+key 0, grafting psi_inverse's forest (L,) + R onto each binary root
+composition, so listed forests are shared as the plane trees over them.
+These nodes live as long as the process, so their ids, in ``_SHARED``, are
+never reused: ``hooks`` memoizes exactly them.  A lock builds and marks
+each level once across threads.
 """
 
 from __future__ import annotations
@@ -186,20 +187,20 @@ def _too_deep(n: int) -> ValueError:
 # ``itertools.product`` of lists.
 _SUBTREE_LIST_CAP = 2**14
 
-# Per arity, the subtree lists of sizes 0, 1, ... built so far.
+# Per arity, or 0 for plane forests, the lists of sizes 0, 1, ... built so far.
 _SUBTREE_LISTS: dict[int, list[list[Node]]] = {}
 
-# Ids of the nodes held for good: every listed subtree and every plane tree
-# in ``_PULLED``.  Levels are extended, mapped and marked under ``_LOCK``.
+# Ids of the nodes held for good: every listed subtree and forest, which is
+# also the plane tree over it.  Levels are extended and marked under ``_LOCK``.
 _SHARED: set[int] = {id(LEAF)}
 _LOCK = threading.Lock()
 
 
 def _subtree_lists(m: int, n: int) -> list[list[Node]]:
-    """All subtrees of sizes 0..k in canonical order, for the largest k < n within the cap."""
+    """All subtrees (key 0: forests) of sizes 0..k in order, for the largest k < n within the cap."""
     small = _SUBTREE_LISTS.setdefault(m, [[LEAF]])
     k = 1
-    while k < n and count_trees(m, k) <= _SUBTREE_LIST_CAP:
+    while k < n and count_trees(m or 2, k) <= _SUBTREE_LIST_CAP:
         if k == len(small):
             with _LOCK:
                 if k == len(small):
@@ -213,8 +214,12 @@ def _nodes(m: int, n: int, small: list[list[Node]]) -> Iterator[Node]:
     if n < len(small):
         yield from small[n]
         return
-    for comp in _compositions(n - 1, m):
-        yield from _children(m, comp, 0, small)
+    for comp in _compositions(n - 1, m or 2):
+        if m:
+            yield from _children(m, comp, 0, small)
+        else:  # psi_inverse's forest (L,) + R of child forests L, R; L is the plane tree over L
+            for left, right in _children(m, comp, 0, small):
+                yield (left,) + right
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -320,34 +325,15 @@ def psi_inverse(tree: MAryTree) -> PlaneForest:
 def enumerate_forests(vertices: int) -> Iterator[PlaneForest]:
     """Yield every plane forest with the given vertex count exactly once.
 
-    The stream is the ``psi_inverse`` pullback of ``enumerate_trees(2, n)``,
-    in that order, so its length is the Catalan number count_trees(2, n).
+    The stream is the ``psi_inverse`` image of ``enumerate_trees(2, n)``, in
+    that order, so its length is the Catalan number count_trees(2, n).  It is
+    built under key 0 from the same root compositions: the forest of a
+    binary node (L, R) is (psi_inverse(L),) + psi_inverse(R).
     """
     if vertices < 0:
         raise ValueError(f"need vertices >= 0, got {vertices}")
-    small = _subtree_lists(2, vertices)
-    for level in small:
-        if id(level[-1]) not in _PULLED:  # levels are mapped whole, smallest first
-            with _LOCK:
-                if id(level[-1]) not in _PULLED:
-                    _PULLED.update((id(node), _pull(node)) for node in level)
-                    _SHARED.update(id(_PULLED[id(node)]) for node in level)
+    small = _subtree_lists(0, vertices)
     try:
-        for node in _nodes(2, vertices, small):
-            yield PlaneForest(_pull(node))
+        yield from map(PlaneForest, _nodes(0, vertices, small))
     except RecursionError:
         raise _too_deep(vertices) from None
-
-
-# Listed binary subtree id -> its psi_inverse forest, also the plane tree over
-# it.  Listed subtrees are never freed, so no id is reused and the lists bound the map.
-_PULLED: dict[int, tuple] = {id(LEAF): ()}
-
-
-def _pull(node: Node) -> tuple:
-    """The forest (pull(L),) + pull(R) of a node (L, R); the plane tree pull(L) is shared."""
-    forest = _PULLED.get(id(node))
-    if forest is None:
-        left, right = node
-        forest = (_pull(left),) + _pull(right)
-    return forest

@@ -78,6 +78,16 @@ def test_poly_eval():
     assert (X * X)(-2) == 4
     assert Poly([0, -half, Fraction(5, 2)])(1) == 2
     assert rhs_binomial_poly(2, 2)(half) == Fraction(3, 8)
+    assert (X * X)(X + 1) == Poly([1, 2, 1])  # a Poly point composes
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, float("nan"), "1", None])
+def test_poly_rejects_inexact_values(value):
+    # A float would become a silently inexact Fraction, or a float result.
+    for make in (lambda: Poly([value]), lambda: Poly([1, value]), lambda: PolySeries([1, value]),
+                 lambda: (X + 1)(value), lambda: ZERO(value), lambda: X + value, lambda: value * X):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_poly_pow_and_scalars():

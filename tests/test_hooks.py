@@ -250,7 +250,7 @@ def test_memos_never_hold_decoded_nodes():
             assert _memoized_nodes_are_shared(hooks._state[-1], kept)
     forests = list(enumerate_forests(8))
     decoded = [psi_inverse(decode(psi(rng.choice(forests)).encode(), 2)) for _ in range(40)]
-    # a one-vertex tree is the one object (), the leaf's pullback
+    # a one-vertex tree is the one object (), the plane tree over the empty forest
     kept.update(id(tree) for forest in decoded for tree in forest.trees if tree)
     for i, forest in enumerate(forests):
         assert forest_hooks(forest) == plain_forest_hooks(forest)
@@ -426,18 +426,18 @@ def test_memoized_forest_hooks_equal_a_memo_free_walk():
 
 
 def test_forest_memo_stays_bounded_over_a_streamed_universe():
-    # As for the m-ary memo: n = 12 streams the pullbacks of its size-10 and
-    # size-11 binary subtrees, and their plane trees miss the memo.
+    # As for the m-ary memo: n = 12 streams its size-10 and size-11 forests,
+    # and the plane trees over them miss the memo.
     assert count_trees(2, 10) > trees._SUBTREE_LIST_CAP
     for i, forest in enumerate(enumerate_forests(12)):
         values = forest_hooks(forest)
         if i % 5000 == 0:
             assert values == plain_forest_hooks(forest)
-    levels = trees._SUBTREE_LISTS[2]
+    levels = trees._SUBTREE_LISTS[0]
     assert len(levels) - 1 < 10
-    # the pullbacks of the listed subtrees, the leaf's () included, and no more
+    # the plane trees over the listed forests, the empty forest's () included, and no more
     memo = hooks._forest_memo
-    assert len(memo) == len(trees._PULLED) == sum(map(len, levels)) == 6918
+    assert len(memo) == sum(map(len, levels)) == 6918
     assert set(memo) <= trees._SHARED
     assert max(map(len, memo.values())) <= len(levels)
 
