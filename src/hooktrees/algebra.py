@@ -143,7 +143,7 @@ class Poly:
 
     def __call__(self, point: Scalar | Poly) -> Fraction | Poly:
         """Exact Horner evaluation at a rational point, or composition with a Poly."""
-        acc, point = Fraction(0), point if isinstance(point, Poly) else _exact(point)
+        acc, point = (ZERO, point) if isinstance(point, Poly) else (Fraction(0), _exact(point))
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc

@@ -16,7 +16,10 @@ set of positions (every position for h, those outside S for hbb), with
 hcal leaving out the last child's h.
 
 ``forest_hooks`` is the plane-forest analogue counting all vertices (not
-just internal ones), also a preorder list.  ``prune`` materializes the
+just internal ones), also a preorder list.  Under ``trees.psi`` it equals
+``first_kind_hooks`` vertex by vertex, so the forest identities are summed
+over binary trees and this walk is kept as the independent check of that
+correspondence.  ``prune`` materializes the
 S-deletion as a tree of smaller arity, and ``decompose`` / ``compose``
 realize the induced bijection between an arity-(m+1) tree and a pruned
 skeleton plus the ordered forest of deleted subtrees.
@@ -30,8 +33,7 @@ by value would hash a nested tuple, which recurses in C and crashes the
 interpreter on deep trees.  The memo serves one mode (arity, pruned
 positions, first) at a time.  An enumerated tree whose root children all
 hit it costs the mode check, O(arity) lookups and one copy of its preorder
-list, always a fresh list.  ``forest_hooks`` memoizes the same way each
-listed forest of ``trees``, read as the plane tree over it.
+list, always a fresh list.
 """
 
 from __future__ import annotations
@@ -144,35 +146,21 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
     H_v is the size of v's subtree: the walk pushes v's preorder slot
     beneath its children, and when it pops that slot again the subtree
     fills the slots from it to the end of the list, so depth costs no
-    recursion.  As ``_walk`` does for m-ary subtrees, it memoizes a
-    component tree's list by ``id`` if the tree is in ``_SHARED``: a listed
-    forest, read as the plane tree over it.
+    recursion.
     """
     out: list[int] = []
-    for tree in forest.trees:
-        hit = _forest_memo.get(id(tree))
-        if hit is not None:
-            out += hit
-            continue
-        start, stack = len(out), [tree]
-        while stack:
-            node = stack.pop()
-            if node.__class__ is int:
-                out[node] = len(out) - node
-            elif node:
-                stack.append(len(out))
-                out.append(0)
-                stack += reversed(node)
-            else:
-                out.append(1)
-        if id(tree) in _SHARED:
-            _forest_memo[id(tree)] = out[start:]
+    stack = list(reversed(forest.trees))
+    while stack:
+        node = stack.pop()
+        if node.__class__ is int:
+            out[node] = len(out) - node
+        elif node:
+            stack.append(len(out))
+            out.append(0)
+            stack += reversed(node)
+        else:
+            out.append(1)
     return out
-
-
-# Shared component tree id -> its preorder list.  A plane tree's hooks have no
-# mode, so one memo serves every caller.
-_forest_memo: dict[int, list[int]] = {}
 
 
 def _rebuild(root: Node, expand) -> Node:

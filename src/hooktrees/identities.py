@@ -1,8 +1,8 @@
 """Exhaustive exact verification of the hook-length identities.
 
 Every identity family sums, over one exhaustively enumerated universe of
-trees (or plane forests), a per-vertex product of linear factors in one
-hook statistic, and compares the sum exactly with an independently built
+complete m-ary trees, a per-vertex product of linear factors in one hook
+statistic, and compares the sum exactly with an independently built
 closed form.  Each family is therefore one row of ``FAMILY_TABLE``: the
 universe, the hook kind, the factor, the closed form with an optional
 cross-check, and the parameters the family takes.  Validation, summation
@@ -18,8 +18,10 @@ duliu_1_2a            sum prod ((mh+1)x - h + 1)/((m+1)h) over arity-(m+1)
 duliu_1_2b            sum prod (x + 1/h), same universe
                       = rhs_product_poly("thm1_2_eq51a", m, n, 0).
 forest_1_3a           sum prod (x + 1/H_v) over plane forests, all vertices
-                      = rhs_product_poly("thm1_1_eq16", 2, n).
-forest_1_3b           sum prod ((2H-1)x - H + 1)/H = rhs_binomial_poly(2, n).
+                      = rhs_product_poly("thm1_1_eq16", 2, n); summed over
+                      binary trees through psi, where H_u = hcal_u.
+forest_1_3b           sum prod ((2H-1)x - H + 1)/H = rhs_binomial_poly(2, n),
+                      summed the same way.
 thm1_1_eq1_6          sum prod (x + 1/hcal_v) over arity-m trees
                       = rhs_product_poly("thm1_1_eq16", m, n).
 thm1_1_eq1_7          sum prod ((m*hcal-1)x - hcal + 1)/((m-1)hcal)
@@ -73,6 +75,7 @@ from .algebra import (
     rhs_product_poly,
     series_compose_scaled,
 )
+# Unused here: hookbench's tracer wraps enumerate_forests and forest_hooks as names of this module.
 from .hooks import first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks
 from .trees import count_trees, enumerate_forests, enumerate_trees
 
@@ -80,18 +83,18 @@ from .trees import count_trees, enumerate_forests, enumerate_trees
 class Family(NamedTuple):
     """One identity family as data.
 
-    ``arity`` maps m to the arity of the tree universe (``None``: plane
-    forests).  ``hooks`` names the hook statistic: "standard", "first",
-    "second" or "forest".  ``factor(m, s, h)`` is the per-vertex factor at
-    hook value h, ``(c1, c0, d)`` for (c1*x + c0)/d in a polynomial family
-    and ``(c0, d)`` for c0/d in a numeric one.  ``rhs(m, n, s)`` is the
-    closed form and ``cross(m, n, s)``, if given, an independent route to
-    the same value.  ``min_m`` is ``None`` for families without m.  ``S``
-    is "none", "subset" (any subset of [m], empty by default) or "full"
-    (exactly [m]).  ``scale(n)`` multiplies the summed left side.
+    ``arity`` maps m to the arity of the tree universe.  ``hooks`` names the
+    hook statistic: "standard", "first" or "second".  ``factor(m, s, h)`` is
+    the per-vertex factor at hook value h, ``(c1, c0, d)`` for (c1*x + c0)/d
+    in a polynomial family and ``(c0, d)`` for c0/d in a numeric one.
+    ``rhs(m, n, s)`` is the closed form and ``cross(m, n, s)``, if given, an
+    independent route to the same value.  ``min_m`` is ``None`` for families
+    without m.  ``S`` is "none", "subset" (any subset of [m], empty by
+    default) or "full" (exactly [m]).  ``scale(n)`` multiplies the summed
+    left side.
     """
 
-    arity: Callable[[int], int] | None
+    arity: Callable[[int | None], int]
     hooks: str
     factor: Callable[[int, int, int], tuple]
     rhs: Callable[[int, int, int], Poly | Fraction]
@@ -123,11 +126,11 @@ FAMILY_TABLE: dict[str, Family] = {
         lambda m, n, s: rhs_product_poly("thm1_2_eq51a", m, n, 0), min_m=1,
     ),
     "forest_1_3a": Family(
-        None, "forest", lambda m, s, h: (h, 1, h),
+        lambda m: 2, "first", lambda m, s, h: (h, 1, h),
         lambda m, n, s: rhs_product_poly("thm1_1_eq16", 2, n),
     ),
     "forest_1_3b": Family(
-        None, "forest", lambda m, s, h: (2 * h - 1, 1 - h, h),
+        lambda m: 2, "first", lambda m, s, h: (2 * h - 1, 1 - h, h),
         lambda m, n, s: rhs_binomial_poly(2, n),
     ),
     "thm1_1_eq1_6": Family(
@@ -288,13 +291,11 @@ def _multiset_sum(universe, values_of, table) -> tuple[Poly, int]:
 
 
 def _hook_values(kind: str, S: frozenset[int] | None) -> Callable:
-    if kind == "standard" or (kind == "second" and not S):
-        return standard_hooks
     if kind == "first":
         return first_kind_hooks
-    if kind == "second":
+    if kind == "second" and S:
         return lambda t: second_kind_hooks(t, S)
-    return forest_hooks
+    return standard_hooks
 
 
 def _factor_table(row: Family, m: int | None, s: int, n: int) -> list[tuple[int, list[int]]]:
@@ -311,9 +312,8 @@ def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[
     Performs no validation: callers check m, n and S first.
     """
     row = FAMILY_TABLE[family]
-    universe = enumerate_forests(n) if row.arity is None else enumerate_trees(row.arity(m), n)
     table = _factor_table(row, m, len(S or ()), n)
-    total, visited = _multiset_sum(universe, _hook_values(row.hooks, S), table)
+    total, visited = _multiset_sum(enumerate_trees(row.arity(m), n), _hook_values(row.hooks, S), table)
     if len(table[0][1]) == 1:
         # A numeric row is read at x = 0 so that a zero sum renders "0", not the zero
         # Poly's empty coefficient list: cor2_first, m = 2, S = {1,2}, n >= 1 sums to 0
@@ -445,14 +445,13 @@ def _run_one(args: tuple[IdentitySpec, bool]) -> VerificationReport:
 
 
 def _mode_key(args: tuple[IdentitySpec, bool]) -> tuple:
-    """The hook walk's mode of a spec, (arity or 0 for forests, first, S), then n; invalid specs last."""
+    """The hook walk's mode of a spec, (arity, first, S), then n; invalid specs last."""
     try:
         spec = _validated(args[0])
     except Exception:
         return (1,)
     row = FAMILY_TABLE[spec.family]
-    arity = 0 if row.arity is None else row.arity(spec.m)
-    return (0, arity, row.hooks == "first", sorted(spec.S or ()), spec.n)
+    return (0, row.arity(spec.m), row.hooks == "first", sorted(spec.S or ()), spec.n)
 
 
 def verify_suite(

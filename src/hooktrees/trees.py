@@ -16,12 +16,10 @@ enumeration of one arity builds its trees from the same child objects;
 they hold at most sum_{k <= k_max} count_trees(m, k) nodes, k_max the
 largest listed size.  The order is canonical and documented on
 ``enumerate_trees`` so streams are reproducible and can be chunked for
-parallel consumption.  ``enumerate_forests`` runs the same recursion under
-key 0, grafting psi_inverse's forest (L,) + R onto each binary root
-composition, so listed forests are shared as the plane trees over them.
-These nodes live as long as the process, so their ids, in ``_SHARED``, are
-never reused: ``hooks`` memoizes exactly them.  A lock builds and marks
-each level once across threads.
+parallel consumption; ``enumerate_forests`` is its ``psi_inverse`` image at
+arity 2.  Listed nodes live as long as the process, so their ids, in
+``_SHARED``, are never reused: ``hooks`` memoizes exactly them.  A lock
+builds and marks each level once across threads.
 """
 
 from __future__ import annotations
@@ -174,12 +172,9 @@ def enumerate_trees(arity: int, internal: int) -> Iterator[MAryTree]:
     try:
         yield from map(MAryTree, repeat(arity), _nodes(arity, internal, small))
     except RecursionError:
-        raise _too_deep(internal) from None
-
-
-def _too_deep(n: int) -> ValueError:
-    # Streaming nests a few generators per size above the listed ones.
-    return ValueError(f"enumerating n = {n} goes past the recursion limit ({sys.getrecursionlimit()})")
+        # Streaming nests a few generators per size above the listed ones.
+        limit = sys.getrecursionlimit()
+        raise ValueError(f"enumerating n = {internal} goes past the recursion limit ({limit})") from None
 
 
 # Subtrees of every size k whose count_trees(arity, k) is at most this many
@@ -187,20 +182,20 @@ def _too_deep(n: int) -> ValueError:
 # ``itertools.product`` of lists.
 _SUBTREE_LIST_CAP = 2**14
 
-# Per arity, or 0 for plane forests, the lists of sizes 0, 1, ... built so far.
+# Per arity, the lists of sizes 0, 1, ... built so far.
 _SUBTREE_LISTS: dict[int, list[list[Node]]] = {}
 
-# Ids of the nodes held for good: every listed subtree and forest, which is
-# also the plane tree over it.  Levels are extended and marked under ``_LOCK``.
+# Ids of the nodes held for good: every listed subtree.  Levels are extended
+# and marked under ``_LOCK``.
 _SHARED: set[int] = {id(LEAF)}
 _LOCK = threading.Lock()
 
 
 def _subtree_lists(m: int, n: int) -> list[list[Node]]:
-    """All subtrees (key 0: forests) of sizes 0..k in order, for the largest k < n within the cap."""
+    """All subtrees of sizes 0..k in order, for the largest k < n within the cap."""
     small = _SUBTREE_LISTS.setdefault(m, [[LEAF]])
     k = 1
-    while k < n and count_trees(m or 2, k) <= _SUBTREE_LIST_CAP:
+    while k < n and count_trees(m, k) <= _SUBTREE_LIST_CAP:
         if k == len(small):
             with _LOCK:
                 if k == len(small):
@@ -214,12 +209,8 @@ def _nodes(m: int, n: int, small: list[list[Node]]) -> Iterator[Node]:
     if n < len(small):
         yield from small[n]
         return
-    for comp in _compositions(n - 1, m or 2):
-        if m:
-            yield from _children(m, comp, 0, small)
-        else:  # psi_inverse's forest (L,) + R of child forests L, R; L is the plane tree over L
-            for left, right in _children(m, comp, 0, small):
-                yield (left,) + right
+    for comp in _compositions(n - 1, m):
+        yield from _children(m, comp, 0, small)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -326,14 +317,8 @@ def enumerate_forests(vertices: int) -> Iterator[PlaneForest]:
     """Yield every plane forest with the given vertex count exactly once.
 
     The stream is the ``psi_inverse`` image of ``enumerate_trees(2, n)``, in
-    that order, so its length is the Catalan number count_trees(2, n).  It is
-    built under key 0 from the same root compositions: the forest of a
-    binary node (L, R) is (psi_inverse(L),) + psi_inverse(R).
+    that order, so its length is the Catalan number count_trees(2, n).
     """
     if vertices < 0:
         raise ValueError(f"need vertices >= 0, got {vertices}")
-    small = _subtree_lists(0, vertices)
-    try:
-        yield from map(PlaneForest, _nodes(0, vertices, small))
-    except RecursionError:
-        raise _too_deep(vertices) from None
+    return map(psi_inverse, enumerate_trees(2, vertices))

@@ -90,6 +90,13 @@ def test_poly_rejects_inexact_values(value):
             make()
 
 
+def test_zero_at_a_poly_point_is_the_zero_poly():
+    # Composition yields a Poly even when no coefficient enters the Horner loop.
+    for p in (ZERO, Poly([3])):
+        assert isinstance(p(X + 1), Poly)
+    assert ZERO(X + 1) == ZERO
+
+
 def test_poly_pow_and_scalars():
     assert (Poly([1, 1]) ** 2) == Poly([1, 2, 1])
     assert Poly([1, 1]) ** 0 == ONE

@@ -231,9 +231,8 @@ def _memoized_nodes_are_shared(memo, kept):
 
 
 def test_memos_never_hold_decoded_nodes():
-    # Decoded trees and forests come between enumerated ones in every hook
-    # mode.  They stay alive, so their ids cannot be reused, and no memo may
-    # hold any of them.
+    # Decoded trees come between enumerated ones in every hook mode.  They
+    # stay alive, so their ids cannot be reused, and no memo may hold any of them.
     rng = Random(3)
     kept = set()
     for arity, n in ((2, 8), (3, 5)):
@@ -248,38 +247,19 @@ def test_memos_never_hold_decoded_nodes():
                     other = decoded[i // 10 % len(decoded)]
                     assert HOOKS[kind](other, positions) == oracle_hooks(other, kind, positions)
             assert _memoized_nodes_are_shared(hooks._state[-1], kept)
-    forests = list(enumerate_forests(8))
-    decoded = [psi_inverse(decode(psi(rng.choice(forests)).encode(), 2)) for _ in range(40)]
-    # a one-vertex tree is the one object (), the plane tree over the empty forest
-    kept.update(id(tree) for forest in decoded for tree in forest.trees if tree)
-    for i, forest in enumerate(forests):
-        assert forest_hooks(forest) == plain_forest_hooks(forest)
-        if i % 10 == 0:
-            other = decoded[i // 10 % len(decoded)]
-            assert forest_hooks(other) == plain_forest_hooks(other)
-    assert _memoized_nodes_are_shared(hooks._forest_memo, kept)
 
 
 def test_hook_modes_in_threads_do_not_mix():
     # More threads than cores, each in its own mode over one shared universe,
-    # switching often: a walk must never read another mode's memo.  Two more
-    # threads share the forest memo, one of them on decoded forests.
+    # switching often: a walk must never read another mode's memo.
     universe = list(enumerate_trees(3, 5))
     modes = [("standard", ()), ("first", ())] + [("second", frozenset({p})) for p in (1, 2)]
     expected = {mode: [oracle_hooks(tree, *mode) for tree in universe] for mode in modes}
-    forests = {"forest": list(enumerate_forests(6))}
-    forests["decoded"] = [psi_inverse(decode(psi(f).encode(), 2)) for f in forests["forest"]]
-    for kind in forests:
-        modes.append((kind, ()))
-        expected[kind, ()] = [first_kind_hooks(psi(f)) for f in forests[kind]]
     wrong = []
 
     def work(kind, positions):
         for _ in range(4):
-            if kind in forests:
-                got = [forest_hooks(forest) for forest in forests[kind]]
-            else:
-                got = [HOOKS[kind](tree, positions) for tree in universe]
+            got = [HOOKS[kind](tree, positions) for tree in universe]
             if got != expected[kind, positions]:
                 wrong.append(kind)
 
@@ -405,9 +385,8 @@ def plain_forest_hooks(forest: PlaneForest) -> list[int]:
     return out
 
 
-def test_memoized_forest_hooks_equal_a_memo_free_walk():
-    # Enumerated forests share their trees; decoded and deep ones come in
-    # between, are memoized and freed, and must never give a stale hit.
+def test_forest_hooks_equal_the_child_count_oracle():
+    # Enumerated, decoded and deep forests; the deep ones go past the recursion limit.
     path = ()
     for _ in range(4999):
         path = (path,)
@@ -421,30 +400,11 @@ def test_memoized_forest_hooks_equal_a_memo_free_walk():
                 assert forest_hooks(decoded) == plain_forest_hooks(decoded)
                 deep = PlaneForest((*decoded.trees, path))
                 assert forest_hooks(deep) == plain_forest_hooks(decoded) + list(range(5000, 0, -1))
-                del decoded, deep
-    assert hooks._forest_memo
-
-
-def test_forest_memo_stays_bounded_over_a_streamed_universe():
-    # As for the m-ary memo: n = 12 streams its size-10 and size-11 forests,
-    # and the plane trees over them miss the memo.
-    assert count_trees(2, 10) > trees._SUBTREE_LIST_CAP
-    for i, forest in enumerate(enumerate_forests(12)):
-        values = forest_hooks(forest)
-        if i % 5000 == 0:
-            assert values == plain_forest_hooks(forest)
-    levels = trees._SUBTREE_LISTS[0]
-    assert len(levels) - 1 < 10
-    # the plane trees over the listed forests, the empty forest's () included, and no more
-    memo = hooks._forest_memo
-    assert len(memo) == sum(map(len, levels)) == 6918
-    assert set(memo) <= trees._SHARED
-    assert max(map(len, memo.values())) <= len(levels)
 
 
 def test_forest_hook_multiset_matches_first_kind_under_psi():
     # psi keeps preorder, so the hooks agree vertex by vertex, not just as multisets
-    for n in range(7):
+    for n in range(9):
         for forest in enumerate_forests(n):
             assert forest_hooks(forest) == first_kind_hooks(psi(forest))
 

@@ -74,8 +74,18 @@ def test_lhs_forests_small_values():
 
 
 def test_forests_match_first_kind_via_bijection():
-    for n in range(7):
-        assert lhs_of("forest_1_3a", None, n) == lhs_of("thm1_1_eq1_6", 2, n)
+    # The forest rows sum first-kind hooks over binary trees; psi makes that the
+    # sum of forest_hooks over the forests themselves, checked here exactly.
+    for family in ("forest_1_3a", "forest_1_3b"):
+        row = FAMILY_TABLE[family]
+        # Neither row is scaled or numeric, so nothing is applied after the native sum.
+        assert row.scale is None and len(row.factor(None, 0, 1)) == 3
+        for n in range(9):
+            table = identities._factor_table(row, None, 0, n)
+            lhs, visited = identities._multiset_sum(enumerate_forests(n), forest_hooks, table)
+            report = check_identity(IdentitySpec(family, n=n))
+            assert report.passed
+            assert report.lhs == lhs and report.trees_visited == visited == count_trees(2, n)
 
 
 def test_special_value_collapse_counts_trees():

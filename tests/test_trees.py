@@ -154,31 +154,29 @@ def test_too_deep_an_enumeration_names_n_and_the_limit(stream):
         next(stream())
 
 
-@pytest.mark.parametrize("m, n", [(2, 11), (3, 8), (0, 11)])
+@pytest.mark.parametrize("m, n", [(2, 11), (3, 8)])
 def test_small_subtrees_of_enumerated_trees_are_shared(m, n):
     # The hook memos store only ids in ``trees._SHARED``.  If the enumerator
     # built a subtree no larger than the largest listed size afresh, they
-    # would silently stop hitting on it.  Key 0 lists forests (m = 0), and a
-    # plane tree's size is that of the forest below its root.
+    # would silently stop hitting on it.
     fresh_sizes = set()
-    for top in enumerate_forests(n) if m == 0 else enumerate_trees(m, n):
-        stack = list(top.trees if m == 0 else top.root)
+    for top in enumerate_trees(m, n):
+        stack = list(top.root)
         while stack:
             node = stack.pop()
             if id(node) not in trees._SHARED:
-                below = PlaneForest(node) if m == 0 else MAryTree(m, node)
-                fresh_sizes.add(below.vertex_count() if m == 0 else below.internal_count())
+                fresh_sizes.add(MAryTree(m, node).internal_count())
                 stack += node
     levels = trees._SUBTREE_LISTS[m]
     assert all(size > len(levels) - 1 for size in fresh_sizes)
-    # a listed subtree's own subtrees, and every tree of a listed forest, are listed too
+    # a listed subtree's own subtrees are listed too
     assert all(id(child) in trees._SHARED for level in levels for node in level for child in node)
 
 
 def test_first_use_of_an_arity_in_threads_lists_each_level_once():
-    # Eight threads at a time make the first use of arities 3, 4 and 5 and of
-    # the forests, switching as often as possible.  The lists are global to
-    # the process, so the check runs in a fresh one.
+    # Eight threads at a time make the first use of arities 3, 4 and 5, and
+    # through the forest rows of arity 2, switching as often as possible.  The
+    # lists are global to the process, so the check runs in a fresh one.
     script = (
         "import json, sys, threading\n"
         "sys.setswitchinterval(1e-6)\n"
@@ -194,8 +192,8 @@ def test_first_use_of_an_arity_in_threads_lists_each_level_once():
         "lists = trees._SUBTREE_LISTS\n"
         "print(json.dumps({\n"
         "    'alive': sum(t.is_alive() for t in threads),\n"
-        "    'reports': sorted((r.spec.m or 0, r.passed, r.trees_visited) for r in reports),\n"
-        "    'levels': {m: [len(level) for level in lists[m]] for m in (0, 3, 4, 5)},\n"
+        "    'reports': sorted((r.spec.m or 2, r.passed, r.trees_visited) for r in reports),\n"
+        "    'levels': {m: [len(level) for level in lists[m]] for m in (2, 3, 4, 5)},\n"
         "    'unshared': sum(id(node) not in trees._SHARED for levels in lists.values()\n"
         "                    for level in levels for node in level),\n"
         "}))\n"
@@ -209,10 +207,10 @@ def test_first_use_of_an_arity_in_threads_lists_each_level_once():
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
     assert got["alive"] == 0
-    expected = {0: count_trees(2, 9), 3: count_trees(3, 7), 4: count_trees(4, 6), 5: count_trees(5, 5)}
+    expected = {2: count_trees(2, 9), 3: count_trees(3, 7), 4: count_trees(4, 6), 5: count_trees(5, 5)}
     assert got["reports"] == sorted([m, True, count] for m, count in expected.items() for _ in range(8))
     for m, sizes in got["levels"].items():
-        assert sizes == [count_trees(int(m) or 2, k) for k in range(len(sizes))]
+        assert sizes == [count_trees(int(m), k) for k in range(len(sizes))]
     assert got["unshared"] == 0
 
 
@@ -375,18 +373,47 @@ def test_psi_maps_a_deep_path_and_round_trips():
 
 @pytest.mark.parametrize("cap", [None, 0, 5])
 def test_enumerate_forests_is_the_pullback_in_order(monkeypatch, cap):
-    # A low cap streams the forests above it, built afresh; the listed ones
-    # are built once and shared.  psi writes codes and psi_inverse reads them,
-    # so neither shares code with the stream.
+    # A low cap streams the binary trees above it, built afresh.
     if cap is not None:
         monkeypatch.setattr(trees, "_SUBTREE_LIST_CAP", cap)
     for n in range(11 if cap is None else 8):
         forests = list(enumerate_forests(n))
         assert forests == [psi_inverse(tree) for tree in enumerate_trees(2, n)], n
         assert [psi(f) for f in forests] == list(enumerate_trees(2, n)), n
-    if cap is None:
-        again = enumerate_forests(7)
-        assert all(a.trees[0] is b.trees[0] for a, b in zip(enumerate_forests(7), again))
+
+
+def _child_count_sequences(n):
+    """Every (trees, [c_1, ..., c_n]) that is the preorder child-count list of a plane forest."""
+
+    def extend(counts, pending):
+        # ``pending`` vertices are named by a parent or the forest but not yet read.
+        if len(counts) == n:
+            yield counts
+            return
+        if not pending:
+            return
+        for c in range(n - len(counts) - pending + 1):
+            yield from extend(counts + [c], pending - 1 + c)
+
+    for k in range(1, n + 1) if n else [0]:
+        yield from ((k, counts) for counts in extend([], k))
+
+
+def _forest_of(k, counts):
+    it = iter(counts)
+
+    def tree():
+        return tuple(tree() for _ in range(next(it)))
+
+    return tuple(tree() for _ in range(k))
+
+
+def test_enumerate_forests_yields_every_plane_forest_once():
+    # An oracle that does not go through psi: forests read off their child counts.
+    for n in range(9):
+        brute = sorted(_forest_of(k, counts) for k, counts in _child_count_sequences(n))
+        assert len(brute) == len(set(brute)) == count_trees(2, n)
+        assert sorted(f.trees for f in enumerate_forests(n)) == brute, n
 
 
 def test_enumerate_forests_counts():
