@@ -31,9 +31,9 @@ good (``trees._SHARED``): no such id is ever reused, so an entry pins no
 node, and the subtree lists bound the memo, so it is never cleared.  Keying
 by value would hash a nested tuple, which recurses in C and crashes the
 interpreter on deep trees.  The memo serves one mode (arity, pruned
-positions, first) at a time.  An enumerated tree whose root children all
-hit it costs the mode check, O(arity) lookups and one copy of its preorder
-list, always a fresh list.
+positions, first) at a time.  An enumerated tree, one tuple built in C,
+whose root children all hit it costs the mode check, O(arity) lookups and
+one copy of its preorder list, always a fresh list.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Complete m-ary trees and plane forests.
 
 A tree node is a plain tuple of its child nodes; ``()`` is a leaf.  In a
-complete m-ary tree every internal node is an m-tuple.  A plane tree node
+complete m-ary tree every internal node is an m-tuple, and the tree itself
+is the pair (arity, root), an ``MAryTree`` named tuple.  A plane tree node
 is a tuple of arbitrarily many children, and a plane forest a linearly
 ordered tuple of plane trees.  Sharing the one node vocabulary keeps the
 forest <-> binary-tree bijection (``psi`` / ``psi_inverse``) a few lines
@@ -16,10 +17,11 @@ enumeration of one arity builds its trees from the same child objects;
 they hold at most sum_{k <= k_max} count_trees(m, k) nodes, k_max the
 largest listed size.  The order is canonical and documented on
 ``enumerate_trees`` so streams are reproducible and can be chunked for
-parallel consumption; ``enumerate_forests`` is its ``psi_inverse`` image at
-arity 2.  Listed nodes live as long as the process, so their ids, in
-``_SHARED``, are never reused: ``hooks`` memoizes exactly them.  A lock
-builds and marks each level once across threads.
+parallel consumption.  The stream pairs each root with its arity in C, so
+a tree costs one tuple and no Python frame.  ``enumerate_forests`` is its
+``psi_inverse`` image at arity 2.  Listed nodes live as long as the
+process, so their ids, in ``_SHARED``, are never reused: ``hooks`` memoizes
+exactly them.  A lock builds and marks each level once across threads.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ import sys
 import threading
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 Node = tuple
 LEAF: Node = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class MAryTree:
+class MAryTree(NamedTuple):
     """A complete m-ary tree: every internal vertex has exactly m ordered children.
 
     With n internal vertices there are exactly (m-1)*n + 1 leaves.  Arity 1
@@ -45,7 +46,9 @@ class MAryTree:
     everywhere in the library, while the command line restricts itself to
     arity >= 2.
 
-    Constructors assume a well-formed node structure; ``check`` validates.
+    A tree is the pair (arity, root), a tuple, so it is immutable and
+    ``enumerate_trees`` builds each one in C.  Constructors assume a
+    well-formed node structure; ``check`` validates.
     """
 
     arity: int
@@ -53,11 +56,20 @@ class MAryTree:
 
     # Equality, hash and repr read the code: comparing or printing nested root
     # tuples recurses in C and raises RecursionError deeper than about 1,000
-    # levels, and hashing them overflows the C stack on deep enough trees.
+    # levels, and hashing them overflows the C stack on deep enough trees.  A
+    # tree equals no plain tuple and has no order, which tuple would supply.
     def __eq__(self, other):
         if not isinstance(other, MAryTree):
-            return NotImplemented
+            return False
         return self.arity == other.arity and self.encode() == other.encode()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError("MAryTree values are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self) -> str:
         return f"MAryTree(arity={self.arity}, code={self.encode()!r})"
@@ -170,7 +182,8 @@ def enumerate_trees(arity: int, internal: int) -> Iterator[MAryTree]:
         raise ValueError(f"need arity >= 1 and internal >= 0, got {arity}, {internal}")
     small = _subtree_lists(arity, internal)
     try:
-        yield from map(MAryTree, repeat(arity), _nodes(arity, internal, small))
+        # ``tuple.__new__`` pairs each root with the arity in C: no frame per tree.
+        yield from map(tuple.__new__, repeat(MAryTree), zip(repeat(arity), _nodes(arity, internal, small)))
     except RecursionError:
         # Streaming nests a few generators per size above the listed ones.
         limit = sys.getrecursionlimit()

@@ -335,6 +335,14 @@ def test_each_hook_call_is_one_walk_frame():
     assert frames == len(modes) * len(shapes) == 6003
 
 
+@pytest.mark.parametrize("kind", ["standard", "first", "second"])
+def test_hooks_reject_a_bare_node(kind):
+    # A node or a plain (arity, root) pair has no ``arity`` attribute to read.
+    for bare in ((LEAF, LEAF), (2, (LEAF, LEAF))):
+        with pytest.raises(AttributeError):
+            HOOKS[kind](bare, ())
+
+
 def test_hook_lists_are_fresh_and_positions_checked_per_arity():
     tree = next(enumerate_trees(2, 6))
     values = standard_hooks(tree)

@@ -1,7 +1,9 @@
 """Tree/forest enumeration, preorder codes, and the forest bijection."""
 
 import json
+import operator
 import os
+import pickle
 import subprocess
 import sys
 from itertools import islice
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hooktrees import trees
+from hooktrees.hooks import compose, decompose, prune
 from hooktrees.trees import (
     DecodeError,
     LEAF,
@@ -135,6 +138,22 @@ def test_subtree_lists_are_kept_and_cut_to_the_current_cap(monkeypatch):
     # a lower cap streams the sizes above it, whatever was listed before
     monkeypatch.setattr(trees, "_SUBTREE_LIST_CAP", 0)
     assert trees._subtree_lists(2, 8) == [[LEAF]]
+
+
+def test_enumeration_builds_no_tree_in_python():
+    # Each tree is one tuple built in C: no constructor frame per tree.
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        frames += event == "call" and frame.f_code.co_name in ("__new__", "__init__")
+
+    sys.setprofile(count)
+    try:
+        streamed = list(enumerate_trees(2, 9))
+    finally:
+        sys.setprofile(None)
+    assert len(streamed) == count_trees(2, 9) and frames == 0
 
 
 def test_enumeration_is_lazy():
@@ -341,6 +360,33 @@ def test_deep_trees_compare_and_hash():
     assert repr(first) == f"PlaneForest(child_counts={[1] * 5000 + [0]})"
     assert repr(MAryTree(2, ((LEAF, LEAF), LEAF))) == "MAryTree(arity=2, code='11000')"
     assert repr(PlaneForest(((), ((),)))) == "PlaneForest(child_counts=[2, 0, 1, 0])"
+
+
+def test_a_tree_is_a_value_of_its_own_type():
+    tree = list(enumerate_trees(3, 4))[7]
+    copy = decode(tree.encode(), 3)
+    assert copy.root is not tree.root
+    assert tree == copy and hash(tree) == hash(copy)
+    back = pickle.loads(pickle.dumps(tree))
+    assert type(back) is MAryTree and back == copy and hash(back) == hash(copy)
+    # a tuple underneath, but never equal to a plain one and never ordered
+    plain = (3, tree.root)
+    assert tree != plain and plain != tree
+    assert not tree == plain and not plain == tree
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for left, right in ((tree, tree), (tree, plain), (plain, tree)):
+            with pytest.raises(TypeError):
+                compare(left, right)
+    with pytest.raises(AttributeError):
+        tree.arity = 3
+    with pytest.raises(AttributeError):
+        tree.root = LEAF
+    skeleton, forest = decompose(tree, {1})
+    made = [
+        tree, copy, back, prune(tree, {1}), skeleton, *forest, compose(skeleton, forest, {1}),
+        psi(PlaneForest(((), ((),)))),
+    ]
+    assert all(type(t) is MAryTree for t in made)
 
 
 def test_hash_of_a_million_deep_tree_and_forest_does_not_crash():
