@@ -36,7 +36,7 @@ from .identities import (
     all_position_subsets,
     verify_suite,
 )
-from .trees import DecodeError, MAryTree, count_trees, decode, enumerate_trees
+from .trees import DecodeError, count_trees, decode, enumerate_trees
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -196,7 +196,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args, parser) -> int:
-    print(count_trees(args.arity, args.internal))
+    # The exact count is the whole output, so the interpreter's cap on the
+    # digits of an int -> str conversion (4,300 by default) is lifted for it.
+    count = count_trees(args.arity, args.internal)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
     return 0
 
 

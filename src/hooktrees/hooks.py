@@ -19,10 +19,12 @@ hcal leaving out the last child's h.
 just internal ones), also a preorder list.  Under ``trees.psi`` it equals
 ``first_kind_hooks`` vertex by vertex, so the forest identities are summed
 over binary trees and this walk is kept as the independent check of that
-correspondence.  ``prune`` materializes the
-S-deletion as a tree of smaller arity, and ``decompose`` / ``compose``
-realize the induced bijection between an arity-(m+1) tree and a pruned
-skeleton plus the ordered forest of deleted subtrees.
+correspondence.  ``prune`` materializes the S-deletion as a tree of
+smaller arity, and ``decompose`` / ``compose`` realize the induced
+bijection between an arity-(m+1) tree and a pruned skeleton plus the
+ordered forest of deleted subtrees.  Like ``trees.psi``, each writes its
+result's preorder code on an explicit stack and ``decode``s it; a deleted
+subtree stays the original node.
 
 A vertex's values depend only on its own subtree, and ``enumerate_trees``
 builds every tree of an arity from the same listed subtree objects.  So
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .trees import _SHARED, LEAF, MAryTree, Node, PlaneForest
+from .trees import _SHARED, MAryTree, PlaneForest, decode
 
 
 def _position_set(positions: Iterable[int], arity: int) -> frozenset[int]:
@@ -163,30 +165,24 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
     return out
 
 
-def _rebuild(root: Node, expand) -> Node:
-    """Map a tree bottom-up from an explicit stack, so depth costs no recursion.
+def _split(tree: MAryTree, pruned: frozenset[int]) -> tuple[MAryTree, list[MAryTree]]:
+    """The decoded skeleton and the deleted subtrees, in ``decompose`` order.
 
-    ``expand(node)`` is called on each internal node in preorder and returns
-    (children to map, a function building the new node from their images);
-    a leaf maps to a leaf.
+    A preorder walk over the surviving vertices writes the skeleton's code
+    and keeps their children at the pruned positions as they are.
     """
-    if not root:
-        return LEAF
-    stack = [(*expand(root), [])]
-    while True:
-        children, build, images = stack[-1]
-        if len(images) < len(children):
-            child = children[len(images)]
-            if child:
-                stack.append((*expand(child), []))
-            else:
-                images.append(LEAF)
-            continue
-        stack.pop()
-        node = build(images)
-        if not stack:
-            return node
-        stack[-1][2].append(node)
+    cut = sorted(pruned)
+    keep = [p - 1 for p in range(tree.arity, 0, -1) if p not in pruned]
+    code, pieces, stack = [], [], [tree.root]
+    while stack:
+        node = stack.pop()
+        if node:
+            code.append("1")
+            pieces += [MAryTree(tree.arity, node[p - 1]) for p in cut]
+            stack += [node[i] for i in keep]
+        else:
+            code.append("0")
+    return decode("".join(code), tree.arity - len(pruned)), pieces
 
 
 def prune(tree: MAryTree, positions: Iterable[int]) -> MAryTree:
@@ -199,11 +195,7 @@ def prune(tree: MAryTree, positions: Iterable[int]) -> MAryTree:
     identity.
     """
     pruned = _position_set(positions, tree.arity)
-    if not pruned:
-        return tree
-    keep = [p - 1 for p in range(1, tree.arity + 1) if p not in pruned]
-    root = _rebuild(tree.root, lambda node: ([node[i] for i in keep], tuple))
-    return MAryTree(tree.arity - len(pruned), root)
+    return _split(tree, pruned)[0] if pruned else tree
 
 
 def decompose(
@@ -219,15 +211,7 @@ def decompose(
     pruned = _position_set(positions, tree.arity)
     if not tree.root:
         raise ValueError("decompose needs a tree with at least one internal vertex")
-    cut = sorted(p - 1 for p in pruned)
-    keep = [p - 1 for p in range(1, tree.arity + 1) if p not in pruned]
-    pieces: list[MAryTree] = []
-
-    def expand(node: Node):
-        pieces.extend(MAryTree(tree.arity, node[i]) for i in cut)
-        return [node[i] for i in keep], tuple
-
-    skeleton = MAryTree(tree.arity - len(pruned), _rebuild(tree.root, expand))
+    skeleton, pieces = _split(tree, pruned)
     return skeleton, tuple(pieces)
 
 
@@ -253,16 +237,21 @@ def compose(
     expected = len(pruned) * skeleton.internal_count()
     if len(pieces) != expected:
         raise ValueError(f"forest length {len(pieces)}, expected {expected}")
-    it = iter(pieces)
-    cut = set(p - 1 for p in pruned)
-
-    def expand(node: Node):
-        grafts = iter([next(it).root for _ in cut])
-
-        def build(images: list[Node]) -> Node:
-            kept = iter(images)
-            return tuple(next(grafts) if i in cut else next(kept) for i in range(arity))
-
-        return node, build
-
-    return MAryTree(arity, _rebuild(skeleton.root, expand))
+    # Each skeleton vertex, in preorder, writes a 1 and splices the codes of
+    # its next s pieces in at the pruned positions among its kept children.
+    grafts = iter(pieces)
+    cut = sorted(pruned)
+    code, stack = [], [skeleton.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            code.append(item)
+        elif item:
+            code.append("1")
+            children = list(item)
+            for p in cut:
+                children.insert(p - 1, next(grafts).encode())
+            stack += reversed(children)
+        else:
+            code.append("0")
+    return decode("".join(code), arity)

@@ -4,10 +4,10 @@ A tree node is a plain tuple of its child nodes; ``()`` is a leaf.  In a
 complete m-ary tree every internal node is an m-tuple, and the tree itself
 is the pair (arity, root), an ``MAryTree`` named tuple.  A plane tree node
 is a tuple of arbitrarily many children, and a plane forest a linearly
-ordered tuple of plane trees.  Sharing the one node vocabulary keeps the
-forest <-> binary-tree bijection (``psi`` / ``psi_inverse``) a few lines
-each: ``psi`` writes the image's code from an explicit stack, and
-``psi_inverse`` reads it back in one explicit-stack preorder walk.
+ordered tuple of plane trees.  Every rewrite of a tree writes its image's
+preorder code from an explicit stack and ``decode``s it: ``psi`` does, and
+so do ``hooks.prune``, ``decompose`` and ``compose``.  ``psi_inverse`` reads
+psi's code back in one explicit-stack preorder walk.
 
 Enumeration is streaming: memory stays proportional to the tree depth
 plus the lists of all subtrees of each size that has at most

@@ -5,12 +5,14 @@ import csv
 import hashlib
 import io
 import json
+import sys
 
 import jsonschema
 import pytest
 
 from hooktrees.cli import REPORT_SCHEMA, _build_parser, main
 from hooktrees.identities import FAMILIES
+from hooktrees.trees import count_trees
 
 
 def run(capsys, *argv):
@@ -24,6 +26,20 @@ def test_count(capsys):
     assert code == 0 and out == "5\n"
     code, out, _ = run(capsys, "count", "--arity", "3", "--internal", "0")
     assert code == 0 and out == "1\n"
+
+
+def test_count_prints_more_digits_than_the_int_str_limit(capsys):
+    # count_trees(2, 8000) has 4,811 digits, past CPython's default 4,300.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(count_trees(2, 8000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 4811
+    code, out, err = run(capsys, "count", "--arity", "2", "--internal", "8000")
+    assert (code, out, err) == (0, expected + "\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_count_rejects_small_arity(capsys):

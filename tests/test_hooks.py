@@ -450,12 +450,28 @@ def test_compose_rejects_mismatches():
             compose(skeleton, forest, positions)
 
 
+def _deleted_children(node: Node, positions) -> list[Node]:
+    """The children at pruned positions of the surviving vertices, in decompose order."""
+    if not node:
+        return []
+    out = [node[p - 1] for p in sorted(positions)]
+    for p, child in enumerate(node, 1):
+        if p not in positions:
+            out += _deleted_children(child, positions)
+    return out
+
+
 def test_decompose_compose_round_trip_exhaustive():
     for arity in (2, 3, 4):
         for n in range(1, 4):
             for tree in enumerate_trees(arity, n):
                 for positions in _subsets(arity - 1):
                     skeleton, forest = decompose(tree, positions)
+                    assert prune(tree, positions) == skeleton
+                    # The pieces are the original subtree objects, not rebuilt.
+                    children = _deleted_children(tree.root, positions)
+                    assert len(children) == len(forest)
+                    assert all(piece.root is child for piece, child in zip(forest, children))
                     assert skeleton.arity == arity - len(positions)
                     assert len(forest) == len(positions) * skeleton.internal_count()
                     total = skeleton.internal_count() + sum(
@@ -472,3 +488,14 @@ def test_prune_decompose_compose_on_a_deep_comb():
     assert skeleton == prune(comb, {1}) == decode("1" * 5000 + "0", 1)
     assert forest == (MAryTree(2),) * 5000
     assert compose(skeleton, forest, {1}) == comb
+    # A ternary tree 3,000 levels deep along its last child, with a
+    # one-vertex tree first at every level: the spliced pieces are internal.
+    one = (LEAF, LEAF, LEAF)
+    node = LEAF
+    for _ in range(3000):
+        node = (one, LEAF, node)
+    deep = MAryTree(3, node)
+    skeleton, forest = decompose(deep, {1})
+    assert skeleton == prune(deep, {1}) == decode("10" * 3000 + "0", 2)
+    assert forest == (MAryTree(3, one),) * 3000
+    assert compose(skeleton, forest, {1}) == deep
