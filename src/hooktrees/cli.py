@@ -130,12 +130,13 @@ def render_reports(reports, fmt: str, timing: bool = False) -> str:
 
 
 def _parse_positions(text: str) -> frozenset[int]:
-    if not text:
-        return frozenset()
     try:
-        return frozenset(int(part) for part in text.split(","))
+        parts = [int(part) for part in text.split(",")] if text else []
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad position list {text!r}")
+    if len(set(parts)) < len(parts):
+        raise argparse.ArgumentTypeError(f"repeated position in {text!r}")
+    return frozenset(parts)
 
 
 def _at_least(low: int):

@@ -228,13 +228,14 @@ def _validated(spec: IdentitySpec) -> IdentitySpec:
     row = FAMILY_TABLE.get(f) if isinstance(f, str) else None
     if row is None:
         raise ValueError(f"unknown identity family {f!r}")
-    if not _is_int(spec.n) or spec.n < row.min_n:
-        raise ValueError(f"{f} needs n >= {row.min_n}, got {spec.n!r}")
-    if row.min_m is None:
-        if spec.m is not None:
-            raise ValueError(f"{f} does not take an m parameter")
-    elif not _is_int(spec.m) or spec.m < row.min_m:
-        raise ValueError(f"{f} needs m >= {row.min_m}, got {spec.m!r}")
+    for name, value, low in (("n", spec.n, row.min_n), ("m", spec.m, row.min_m)):
+        if low is None:
+            if value is not None:
+                raise ValueError(f"{f} does not take an {name} parameter")
+        elif not _is_int(value):
+            raise ValueError(f"{f} needs an integer {name}, got {value!r}")
+        elif value < low:
+            raise ValueError(f"{f} needs {name} >= {low}, got {value!r}")
     if row.S == "none":
         if spec.S is not None:
             raise ValueError(f"{f} does not take an S parameter")

@@ -17,11 +17,13 @@ enumeration of one arity builds its trees from the same child objects;
 they hold at most sum_{k <= k_max} count_trees(m, k) nodes, k_max the
 largest listed size.  The order is canonical and documented on
 ``enumerate_trees`` so streams are reproducible and can be chunked for
-parallel consumption.  The stream pairs each root with its arity in C, so
-a tree costs one tuple and no Python frame.  ``enumerate_forests`` is its
-``psi_inverse`` image at arity 2.  Listed nodes live as long as the
-process, so their ids, in ``_SHARED``, are never reused: ``hooks`` memoizes
-exactly them.  A lock builds and marks each level once across threads.
+parallel consumption.  A root composition of listed sizes streams through
+``product`` and ``chain`` and is paired with its arity in C, so such a tree
+costs one tuple and resumes no Python frame; a streamed size nests one
+generator expression.  ``enumerate_forests`` is its ``psi_inverse`` image
+at arity 2.  Listed nodes live as long as the process, so their ids, in
+``_SHARED``, are never reused: ``hooks`` memoizes exactly them.  A lock
+builds and marks each level once across threads.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import Iterator, NamedTuple
 
 Node = tuple
@@ -182,10 +184,10 @@ def enumerate_trees(arity: int, internal: int) -> Iterator[MAryTree]:
         raise ValueError(f"need arity >= 1 and internal >= 0, got {arity}, {internal}")
     small = _subtree_lists(arity, internal)
     try:
-        # ``tuple.__new__`` pairs each root with the arity in C: no frame per tree.
+        # ``product``, ``chain`` and ``tuple.__new__`` build a listed composition's trees in C.
         yield from map(tuple.__new__, repeat(MAryTree), zip(repeat(arity), _nodes(arity, internal, small)))
     except RecursionError:
-        # Streaming nests a few generators per size above the listed ones.
+        # Each streamed size above the listed ones nests one generator expression.
         limit = sys.getrecursionlimit()
         raise ValueError(f"enumerating n = {internal} goes past the recursion limit ({limit})") from None
 
@@ -220,10 +222,8 @@ def _subtree_lists(m: int, n: int) -> list[list[Node]]:
 
 def _nodes(m: int, n: int, small: list[list[Node]]) -> Iterator[Node]:
     if n < len(small):
-        yield from small[n]
-        return
-    for comp in _compositions(n - 1, m):
-        yield from _children(m, comp, 0, small)
+        return iter(small[n])
+    return chain.from_iterable(_children(m, comp, 0, small) for comp in _compositions(n - 1, m))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -238,11 +238,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def _children(m: int, comp: tuple[int, ...], start: int, small: list[list[Node]]) -> Iterator[Node]:
     # ``product`` runs leftmost slowest, the order of the streaming recursion.
     if max(comp[start:], default=0) < len(small):
-        yield from product(*(small[c] for c in comp[start:]))
-        return
-    for child in _nodes(m, comp[start], small):
-        for rest in _children(m, comp, start + 1, small):
-            yield (child,) + rest
+        return product(*(small[c] for c in comp[start:]))
+    streamed = _nodes(m, comp[start], small)
+    return ((child,) + rest for child in streamed for rest in _children(m, comp, start + 1, small))
 
 
 PlaneNode = tuple

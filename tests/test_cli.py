@@ -58,7 +58,7 @@ def test_enumerate(capsys):
 
 
 def test_enumerate_too_deep_is_one_error_line(capsys):
-    code, out, err = run(capsys, "enumerate", "--arity", "2", "--internal", "500", "--limit", "1")
+    code, out, err = run(capsys, "enumerate", "--arity", "2", "--internal", "5000", "--limit", "1")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
@@ -484,6 +484,17 @@ def test_verify_rejects_bad_usage(capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["hooks --arity 2 --code 100 --S 1,1", "verify --family thm1_2_eq5_1a --m 2 --S 2,1,2 --n-max 2"],
+)
+def test_a_repeated_position_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert "repeated position in " in capsys.readouterr().err
 
 
 def test_verify_rejects_an_n_max_below_min_n(capsys):

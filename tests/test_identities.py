@@ -342,6 +342,15 @@ def test_verify_suite_turns_any_exception_into_a_failed_report(monkeypatch):
     assert result.reports[6].note == "duliu_1_2a needs m >= 1, got 0"
 
 
+def test_verify_suite_names_a_non_integer_n_or_m_as_a_type_error():
+    # A float or a bool is no integer, whatever its value.
+    result = verify_suite([IdentitySpec("postnikov", n=2.0), IdentitySpec("thm1_1_eq1_6", m=True, n=2)])
+    assert [(r.passed, r.note) for r in result.reports] == [
+        (False, "postnikov needs an integer n, got 2.0"),
+        (False, "thm1_1_eq1_6 needs an integer m, got True"),
+    ]
+
+
 def test_verify_suite_caps_the_worker_pool(monkeypatch):
     sizes = []
 

@@ -1,6 +1,7 @@
 """Tree/forest enumeration, preorder codes, and the forest bijection."""
 
 import json
+import math
 import operator
 import os
 import pickle
@@ -141,19 +142,30 @@ def test_subtree_lists_are_kept_and_cut_to_the_current_cap(monkeypatch):
 
 
 def test_enumeration_builds_no_tree_in_python():
-    # Each tree is one tuple built in C: no constructor frame per tree.
-    frames = 0
+    # Each tree is one tuple built in C: no constructor frame per tree.  Every
+    # root composition here is made of listed sizes, so it streams through
+    # ``product`` and ``chain``; the stream's own frames (each start or
+    # resumption is a "call" event) open a few times per composition, to
+    # make and pick its product, never once per tree.
+    for m, n in [(2, 9), (3, 7)]:
+        list(enumerate_trees(m, n))  # list the smaller sizes first
+        built = stream = 0
 
-    def count(frame, event, arg):
-        nonlocal frames
-        frames += event == "call" and frame.f_code.co_name in ("__new__", "__init__")
+        def count(frame, event, arg):
+            nonlocal built, stream
+            if event == "call":
+                name = frame.f_code.co_name
+                built += name in ("__new__", "__init__")
+                in_trees = frame.f_code.co_filename == trees.__file__
+                stream += in_trees and name in ("_nodes", "_children", "<genexpr>")
 
-    sys.setprofile(count)
-    try:
-        streamed = list(enumerate_trees(2, 9))
-    finally:
-        sys.setprofile(None)
-    assert len(streamed) == count_trees(2, 9) and frames == 0
+        sys.setprofile(count)
+        try:
+            streamed = list(enumerate_trees(m, n))
+        finally:
+            sys.setprofile(None)
+        assert len(streamed) == count_trees(m, n) and built == 0
+        assert stream < 10 * math.comb(n + m - 2, m - 1), (m, n, stream)
 
 
 def test_enumeration_is_lazy():
@@ -164,12 +176,19 @@ def test_enumeration_is_lazy():
     assert first[0].internal_count() == 40
 
 
+def test_a_deep_universe_streams_its_first_tree():
+    # Each streamed size nests one generator expression, so the first tree of
+    # a universe 400 sizes deep comes out at the default recursion limit.
+    assert next(enumerate_trees(2, 400)).encode() == "10" * 400 + "0"
+    assert next(enumerate_forests(400)) == PlaneForest(((),) * 400)
+
+
 @pytest.mark.parametrize(
-    "stream", [lambda: enumerate_trees(2, 500), lambda: enumerate_forests(500)], ids=["trees", "forests"]
+    "stream", [lambda: enumerate_trees(2, 5000), lambda: enumerate_forests(5000)], ids=["trees", "forests"]
 )
 def test_too_deep_an_enumeration_names_n_and_the_limit(stream):
-    # Streaming nests a few generators per size above the listed ones.
-    with pytest.raises(ValueError, match=rf"n = 500 .*\({sys.getrecursionlimit()}\)"):
+    # Streaming nests one generator expression per size above the listed ones.
+    with pytest.raises(ValueError, match=rf"n = 5000 .*\({sys.getrecursionlimit()}\)"):
         next(stream())
 
 
