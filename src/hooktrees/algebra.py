@@ -6,10 +6,13 @@ in the statistic variable x, ``PolySeries`` a power series in the size
 variable t truncated at a fixed order, with ``Poly`` coefficients.  A
 ``Poly``'s one stored value is its ``pair``, (d, integer numerators); its
 ``Fraction`` coefficients, ``coeffs``, are built from the pair on each read,
-so only printing and evaluation pay for them.  Every exact sum of products
-in the package goes through one kernel on pairs: ``_times`` multiplies
-numerator lists and ``_exact_sum`` adds (d, numerator list) terms into a
-Poly, handing it the pair it already has.  ``_dot``, coefficient k of
+so only ``str``, ``repr`` and composition with a Poly pay for them:
+evaluation at a rational point runs Horner in integers, and
+``cli.coefficient_strings`` prints from the pair.  Every exact sum of
+products in the package goes through one kernel on pairs: ``_times``
+multiplies numerator lists and ``_exact_sum`` adds (d, numerator list)
+terms in one pass over the lcm of their d, handing the Poly the pair it
+already has.  ``_dot``, coefficient k of
 sum_j w_j*A_j*B_(k-j), is the one series step on it: series products,
 composition and ``_miller_step`` (Miller's power recurrence) call it on
 plain Poly lists.  ``_grow`` is the one root-decomposition recurrence,
@@ -52,9 +55,10 @@ class Poly:
     nums[i]/d, with d > 0 the lcm of the coefficients' denominators, so
     gcd(d, *nums) == 1, and no trailing zero in nums (the zero polynomial
     has pair (1, ()) and degree -1).  Arithmetic, comparison, hashing and
-    pickling read only the pair.  ``coeffs``, the tuple of ``Fraction``
-    coefficients, is built from it on each read; printing and evaluation
-    read it.  Instances are immutable.
+    pickling read only the pair, and so do evaluation at a rational point
+    and ``cli.coefficient_strings``.  ``coeffs``, the tuple of ``Fraction``
+    coefficients, is built from it on each read; only ``__str__``,
+    ``__repr__`` and composition read it.  Instances are immutable.
     """
 
     __slots__ = ("pair",)
@@ -142,11 +146,17 @@ class Poly:
         return result
 
     def __call__(self, point: Scalar | Poly) -> Fraction | Poly:
-        """Exact Horner evaluation at a rational point, or composition with a Poly."""
-        acc, point = (ZERO, point) if isinstance(point, Poly) else (Fraction(0), _exact(point))
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """Exact Horner evaluation at a rational point, in integers, or composition with a Poly."""
+        if isinstance(point, Poly):
+            acc = ZERO
+            for c in reversed(self.coeffs):
+                acc = acc * point + c
+            return acc
+        (d, nums), a, b = self.pair, _exact(point).numerator, point.denominator
+        acc, power = 0, 1  # at a/b: acc = sum nums[i]*a**i*b**(degree-i), power = b**(degree+1)
+        for c in reversed(nums):
+            acc, power = acc * a + c * power, power * b
+        return Fraction(acc * b, d * power)
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -206,23 +216,18 @@ def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _exact_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> Poly:
+def _exact_sum(terms: Sequence[tuple[int, Sequence[int]]]) -> Poly:
     """The Poly sum of the terms (d, [c_0, c_1, ...]), each (c_0 + c_1*x + ...)/d, d != 0.
 
-    Integer numerators add per d, then over the lcm of the d: no gcd is paid per
-    term, and one gcd reduces the total to the result's ``pair``.
+    One pass: each term's numerators, times lcm // d, add into one integer list
+    over the lcm of all the d.  No gcd is paid per term, and one gcd reduces the
+    total to the result's ``pair``.
     """
-    buckets: dict[int, list[int]] = {}
+    lcm = math.lcm(*[den for den, _ in terms])
+    out = [0] * max([len(num) for _, num in terms], default=0)
     for den, num in terms:
-        acc = buckets.setdefault(den, [])
-        acc += [0] * (len(num) - len(acc))
-        for i, c in enumerate(num):
-            acc[i] += c
-    lcm = math.lcm(*list(buckets))
-    out = [0] * max(map(len, buckets.values()), default=0)
-    for den, acc in buckets.items():
         scale = lcm // den
-        for i, c in enumerate(acc):
+        for i, c in enumerate(num):
             out[i] += c * scale
     return _from_pair(lcm, out)
 

@@ -11,7 +11,8 @@ for wall-clock numbers in the ``elapsed_ms`` field.
 
 Polynomials print as exact rational coefficient lists, lowest degree
 first, in json and csv, and human-readable like ``(5/2)x^2 - (1/2)x`` in
-text mode.  Position sets are comma-separated 1-based positions; the
+text mode; a series check's tuple of Polys prints as one such list per
+series coefficient.  Position sets are comma-separated 1-based positions; the
 ``verify --S all`` form expands to every subset of [1..m], or to [1..m]
 alone for a family that only takes the full set.
 """
@@ -22,9 +23,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from .algebra import Poly, closed_phi, solve_phi
 from .hooks import first_kind_hooks, second_kind_hooks, standard_hooks
@@ -38,6 +40,10 @@ from .identities import (
 )
 from .trees import DecodeError, count_trees, decode, enumerate_trees
 
+_COEFFICIENTS = {"type": "array", "items": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}}
+# A value is one coefficient list, or one per series coefficient for a tuple of Polys.
+_VALUE = {"anyOf": [_COEFFICIENTS, {"type": "array", "items": _COEFFICIENTS}]}
+
 REPORT_SCHEMA = {
     "type": "object",
     "properties": {
@@ -46,8 +52,8 @@ REPORT_SCHEMA = {
         "n": {"type": "integer"},
         "S": {"type": ["array", "null"], "items": {"type": "integer"}},
         "pass": {"type": "boolean"},
-        "lhs": {"type": "array", "items": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}},
-        "rhs": {"type": "array", "items": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}},
+        "lhs": _VALUE,
+        "rhs": _VALUE,
         "trees_visited": {"type": "integer"},
         "elapsed_ms": {"type": "number"},
     },
@@ -56,13 +62,18 @@ REPORT_SCHEMA = {
 }
 
 
-def coefficient_strings(value: Poly | Fraction | None) -> list[str]:
-    """A Poly or Fraction as exact coefficient strings, lowest degree first."""
+def coefficient_strings(value: Poly | Fraction | tuple | None) -> list:
+    """A Poly or Fraction as exact coefficient strings, lowest degree first, a Poly's
+    read off its pair; a tuple of Polys as one such list per Poly."""
     if value is None:
         return []
+    if isinstance(value, tuple):
+        return [coefficient_strings(p) for p in value]
     if isinstance(value, Fraction):
         return [str(value)]
-    return [str(c) for c in value.coeffs]
+    d, nums = value.pair
+    gcds = map(math.gcd, nums, repeat(d))
+    return [f"{c // g}/{d // g}" if g < d else str(c // g) for c, g in zip(nums, gcds)]
 
 
 def report_to_dict(report: VerificationReport, timing: bool = False) -> dict:
@@ -82,12 +93,14 @@ def report_to_dict(report: VerificationReport, timing: bool = False) -> dict:
 
 
 def _cell(value):
-    """One csv cell: positions joined by ",", coefficients by a space."""
+    """One csv cell: positions joined by ",", coefficients by a space, series coefficients by ";"."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return ";".join(map(_cell, value))
         return ("," if value and isinstance(value[0], int) else " ").join(map(str, value))
     return value
 
@@ -106,12 +119,20 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, text_lines, doc=None) 
     return "".join(line + "\n" for line in text_lines)
 
 
+def _text(value) -> str:
+    """A report value in text: "-" for None, a tuple of Polys as [P_0, P_1, ...]."""
+    if value is None:
+        return "-"
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(str, value)) + "]"
+    return str(value)
+
+
 def _report_lines(reports, rows):
     for report, row in zip(reports, rows):
         verdict = "PASS" if row["pass"] else "FAIL"
         s_text = "{" + ",".join(str(p) for p in row["S"]) + "}" if row["S"] is not None else "-"
-        lhs = str(report.lhs) if report.lhs is not None else "-"
-        rhs = str(report.rhs) if report.rhs is not None else "-"
+        lhs, rhs = _text(report.lhs), _text(report.rhs)
         line = (
             f"{verdict} {row['family']} m={row['m'] if row['m'] is not None else '-'} "
             f"n={row['n']} S={s_text} trees={row['trees_visited']} lhs={lhs} rhs={rhs}"

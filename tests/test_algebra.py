@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,13 @@ from hooktrees.algebra import (
     solve_omega,
     solve_phi,
 )
-from hooktrees.identities import IdentitySpec, check_identity, check_recurrence_thm1_1
+from hooktrees.cli import coefficient_strings, render_reports
+from hooktrees.identities import (
+    IdentitySpec,
+    check_gf_relations,
+    check_identity,
+    check_recurrence_thm1_1,
+)
 from hooktrees.trees import count_trees
 
 half = Fraction(1, 2)
@@ -171,6 +179,27 @@ def test_exact_sum_equals_a_fraction_sum(terms):
     assert terms == before
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_sum_at_accumulation_scale(seed):
+    # Hundreds of terms over a few repeated denominators, negative ones as
+    # _miller_step makes them, as a multiset sum or a long series step feeds it.
+    rng = random.Random(seed)
+    dens = rng.sample([1, 2, -2, 3, 6, -9, 35, -77, 10**12 + 39], 4)
+    terms = [
+        (rng.choice(dens), [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(0, 12))])
+        for _ in range(rng.randint(200, 600))
+    ]
+    before = [(den, list(num)) for den, num in terms]
+    naive = [Fraction(0)] * max(len(num) for _, num in terms)
+    for den, num in terms:
+        for i, c in enumerate(num):
+            naive[i] += Fraction(c, den)
+    total = _exact_sum(terms)
+    assert total == Poly(naive)
+    _assert_canonical_pair(total)
+    assert terms == before
+
+
 def test_exact_sum_of_no_terms_is_zero():
     assert _exact_sum([]) == ZERO
     assert _exact_sum([(5, [0, 0]), (-5, [])]) == ZERO
@@ -301,6 +330,71 @@ def test_polynomial_checks_build_no_fraction(monkeypatch):
     assert check_recurrence_thm1_1(3, 6).passed
     assert check_identity(IdentitySpec("thm1_1_eq1_7", m=3, n=6)).passed
     assert built == []
+
+
+def _fraction_frames(call) -> int:
+    """How many Fraction.__new__ frames open while ``call()`` runs."""
+    code, opened = Fraction.__new__.__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal opened
+        opened += event == "call" and frame.f_code is code
+
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return opened
+
+
+def test_printing_and_evaluation_build_no_fraction_per_coefficient():
+    # json printing reads each Poly's pair; evaluation at a/b runs Horner in
+    # integers and builds only its result.
+    reports = [
+        check_identity(IdentitySpec("thm1_1_eq1_7", m=2, n=6)),
+        check_identity(IdentitySpec("thm1_2_eq5_1a", m=2, n=5, S=frozenset({1}))),
+        check_recurrence_thm1_1(3, 5),
+        check_gf_relations(2, 1, 4),
+    ]
+    assert _fraction_frames(lambda: render_reports(reports, "json")) == 0
+    p, point = reports[0].lhs, Fraction(10**12 + 39, 7)
+    assert p.degree == 6
+    assert _fraction_frames(lambda: p(point)) <= 2
+    assert _fraction_frames(lambda: p(-(10**9))) <= 2
+
+
+# Points far from the small_fractions range: a big numerator over a small
+# denominator, a big negative integer, a big denominator.
+wide_points = st.one_of(
+    small_fractions,
+    st.sampled_from([0, 1, -1, Fraction(10**12 + 39, 7), -(10**9), Fraction(-3, 10**15 + 37)]),
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**12),
+)
+
+
+@given(st.one_of(polys, wide_polys), wide_points)
+def test_evaluation_equals_fraction_horner(p, point):
+    value = p(point)
+    assert value == _fraction_horner(p.coeffs, point) and type(value) is Fraction
+
+
+@given(st.one_of(polys, wide_polys))
+def test_coefficient_strings_equal_fraction_strings(p):
+    assert coefficient_strings(p) == [str(c) for c in p.coeffs]
+
+
+def test_coefficient_strings_edge_values():
+    cases = [
+        ZERO, ONE, -X, Poly([0, 0, 5]), Poly([-4, 0, -7]), Poly([Fraction(-1, 2), 0, 3]),
+        Poly([Fraction(1, 10**30 + 57), Fraction(-(10**40), 3), 2]), Poly([Fraction(6, 4), -half]),
+    ]
+    for p in cases:
+        assert coefficient_strings(p) == [str(c) for c in p.coeffs]
+    assert coefficient_strings(ZERO) == [] and coefficient_strings(Poly([0, 0, 5])) == ["0", "0", "5"]
+    assert coefficient_strings(Poly([Fraction(6, 4), -half])) == ["3/2", "-1/2"]
+    assert coefficient_strings(Fraction(-6, 4)) == ["-3/2"] and coefficient_strings(None) == []
+    assert coefficient_strings((ONE, ZERO, -X)) == [["1"], [], ["0", "-1"]]
 
 
 def test_poly_mul_edge_operands():

@@ -10,8 +10,14 @@ import sys
 import jsonschema
 import pytest
 
-from hooktrees.cli import REPORT_SCHEMA, _build_parser, main
-from hooktrees.identities import FAMILIES
+from hooktrees.cli import REPORT_SCHEMA, _build_parser, coefficient_strings, main, render_reports
+from hooktrees.identities import (
+    FAMILIES,
+    IdentitySpec,
+    check_gf_relations,
+    check_identity,
+    check_recurrence_thm1_1,
+)
 from hooktrees.trees import count_trees
 
 
@@ -448,6 +454,32 @@ def test_verify_jobs_and_timing(capsys):
                 assert type(row["elapsed_ms"]) is float and row["elapsed_ms"] >= 0
             else:
                 assert row["elapsed_ms"] == 0
+
+
+def test_series_valued_reports_render_in_every_format():
+    # check_gf_relations reports hold tuples of Polys; json gives one
+    # coefficient list per series coefficient, csv joins them with ";".
+    series = [check_gf_relations(1, 1, 3), check_gf_relations(2, 0, 2)]
+    others = [check_identity(IdentitySpec("thm1_1_eq1_7", m=2, n=3)), check_recurrence_thm1_1(2, 3)]
+    reports = series + others
+    rows = json.loads(render_reports(reports, "json"))
+    for row, report in zip(rows, reports):
+        jsonschema.validate(row, REPORT_SCHEMA)
+        assert row["lhs"] == coefficient_strings(report.lhs) and row["pass"] is True
+    assert rows[0]["lhs"][:3] == [["1"], ["1", "1"], ["3/2", "7/2", "2"]]
+    assert rows[0]["rhs"] == rows[0]["lhs"] and len(rows[0]["lhs"]) == 2 * 4
+    assert render_reports(others, "json") == json.dumps(rows[2:], indent=2) + "\n"
+
+    cells = list(csv.reader(io.StringIO(render_reports(reports, "csv"))))
+    assert cells[0] == REPORT_SCHEMA["required"] and len(cells) == 1 + len(reports)
+    assert cells[1][5] == ";".join(" ".join(c) for c in rows[0]["lhs"])
+    assert cells[1][5].startswith("1;1 1;3/2 7/2 2;")
+    assert cells[3:] == list(csv.reader(io.StringIO(render_reports(others, "csv"))))[1:]
+
+    lines = render_reports(reports, "text").splitlines()
+    assert lines[0].startswith("PASS gf_relations m=1 n=3 S={1} trees=13 lhs=[1, x + 1, ")
+    assert lines[2:4] == render_reports(others, "text").splitlines()[:2]
+    assert lines[-1] == "4/4 passed"
 
 
 def test_verify_all_subsets_of_a_full_set_family(capsys):
