@@ -6,8 +6,8 @@ in the statistic variable x, ``PolySeries`` a power series in the size
 variable t truncated at a fixed order, with ``Poly`` coefficients.  A
 ``Poly``'s one stored value is its ``pair``, (d, integer numerators); its
 ``Fraction`` coefficients, ``coeffs``, are built from the pair on each read,
-so only ``str``, ``repr`` and composition with a Poly pay for them:
-evaluation at a rational point runs Horner in integers, and
+so only ``str`` and ``repr`` pay for them: evaluation, at a rational point or
+a Poly, runs Horner on the integer numerators, and
 ``cli.coefficient_strings`` prints from the pair.  Every exact sum of
 products in the package goes through one kernel on pairs: ``_times``
 multiplies numerator lists and ``_exact_sum`` adds (d, numerator list)
@@ -55,10 +55,10 @@ class Poly:
     nums[i]/d, with d > 0 the lcm of the coefficients' denominators, so
     gcd(d, *nums) == 1, and no trailing zero in nums (the zero polynomial
     has pair (1, ()) and degree -1).  Arithmetic, comparison, hashing and
-    pickling read only the pair, and so do evaluation at a rational point
-    and ``cli.coefficient_strings``.  ``coeffs``, the tuple of ``Fraction``
-    coefficients, is built from it on each read; only ``__str__``,
-    ``__repr__`` and composition read it.  Instances are immutable.
+    pickling read only the pair, and so do evaluation (composition
+    included) and ``cli.coefficient_strings``.  ``coeffs``, the tuple of
+    ``Fraction`` coefficients, is built from it on each read; only
+    ``__str__`` and ``__repr__`` read it.  Instances are immutable.
     """
 
     __slots__ = ("pair",)
@@ -146,17 +146,13 @@ class Poly:
         return result
 
     def __call__(self, point: Scalar | Poly) -> Fraction | Poly:
-        """Exact Horner evaluation at a rational point, in integers, or composition with a Poly."""
-        if isinstance(point, Poly):
-            acc = ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * point + c
-            return acc
-        (d, nums), a, b = self.pair, _exact(point).numerator, point.denominator
-        acc, power = 0, 1  # at a/b: acc = sum nums[i]*a**i*b**(degree-i), power = b**(degree+1)
+        """Exact Horner evaluation in integers at a point a/b: a rational, or a Poly with b = 1."""
+        compose = isinstance(point, Poly)
+        a, b = (point, 1) if compose else (_exact(point).numerator, point.denominator)
+        (d, nums), acc, power = self.pair, 0, 1  # to sum nums[i]*a**i*b**(deg-i) and b**(deg+1)
         for c in reversed(nums):
             acc, power = acc * a + c * power, power * b
-        return Fraction(acc * b, d * power)
+        return _coerce(acc) * Fraction(1, d) if compose else Fraction(acc * b, d * power)
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"

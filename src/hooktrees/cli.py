@@ -33,8 +33,8 @@ from .hooks import first_kind_hooks, second_kind_hooks, standard_hooks
 from .identities import (
     FAMILIES,
     FAMILY_TABLE,
-    IdentitySpec,
     VerificationReport,
+    _grid,
     all_position_subsets,
     verify_suite,
 )
@@ -291,15 +291,11 @@ def _cmd_verify(args, parser) -> int:
         if args.S == "all" and row.S == "full":
             subsets = [frozenset(range(1, args.m + 1))]
         elif args.S == "all":
-            subsets = list(all_position_subsets(args.m))
+            subsets = all_position_subsets(args.m)
         else:
             subsets = [args.S]
 
-    grid = [
-        IdentitySpec(family, m=args.m, n=n, S=subset)
-        for subset in subsets
-        for n in range(row.min_n, args.n_max + 1)
-    ]
+    grid = _grid((family,), (args.m,), lambda m: range(row.min_n, args.n_max + 1), lambda m: subsets)
     result = verify_suite(grid, jobs=args.jobs)
     sys.stdout.write(render_reports(result.reports, args.format, timing=args.timing))
     return 0 if result.all_passed else 1

@@ -52,7 +52,9 @@ compares it with the enumerated sums.
 
 Summations are associative exact reductions, so ``verify_suite`` may
 partition a grid across worker processes and still assemble a
-deterministic result.
+deterministic result.  The acceptance grids and ``hooktrees verify`` list
+their specs through one builder, ``_grid``, in the order m, S, n, family,
+and reports come back in that order.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -434,8 +437,7 @@ class SuiteResult:
         return self.failed == 0
 
 
-def _run_one(args: tuple[IdentitySpec, bool]) -> VerificationReport:
-    spec, corrupt = args
+def _run_one(spec: IdentitySpec, corrupt: bool = False) -> VerificationReport:
     try:
         return check_identity(spec, _corrupt_rhs=corrupt)
     except ValueError as exc:
@@ -445,10 +447,10 @@ def _run_one(args: tuple[IdentitySpec, bool]) -> VerificationReport:
     return VerificationReport(spec, None, None, False, 0, 0.0, note=note)
 
 
-def _mode_key(args: tuple[IdentitySpec, bool]) -> tuple:
+def _mode_key(spec: IdentitySpec) -> tuple:
     """The hook walk's mode of a spec, (arity, first, S), then n; invalid specs last."""
     try:
-        spec = _validated(args[0])
+        spec = _validated(spec)
     except Exception:
         return (1,)
     row = FAMILY_TABLE[spec.family]
@@ -469,18 +471,19 @@ def verify_suite(
     carrying the error text instead of aborting the run, and so does a
     spec whose check raises any other exception (its note names the type).
     """
-    specs = [(spec, _corrupt_rhs) for spec in grid]
+    specs = list(grid)
     start = perf_counter()
     order = sorted(range(len(specs)), key=lambda i: _mode_key(specs[i]))
     ordered = [specs[i] for i in order]
+    run = partial(_run_one, corrupt=_corrupt_rhs)
     workers = min(jobs, os.cpu_count() or 1, len(specs))
     if workers > 1:
         import multiprocessing  # only here, so that importing the package skips it
 
         with multiprocessing.Pool(workers) as pool:
-            done = pool.map(_run_one, ordered)
+            done = pool.map(run, ordered)
     else:
-        done = [_run_one(item) for item in ordered]
+        done = list(map(run, ordered))
     reports = tuple(report for _, report in sorted(zip(order, done)))
     return SuiteResult(reports, perf_counter() - start)
 
@@ -505,62 +508,40 @@ def all_position_subsets(m: int) -> list[frozenset[int]]:
     return sorted(subsets, key=lambda s: (len(s), sorted(s)))
 
 
+def _grid(families, ms, ns, subsets=lambda m: (None,)) -> list[IdentitySpec]:
+    """Every spec over m, then S in ``subsets(m)``, then n in ``ns(m)``, then family."""
+    return [IdentitySpec(f, m=m, n=n, S=S)
+            for m in ms for S in subsets(m) for n in ns(m) for f in families]
+
+
 def grid_theorem1(cap: int = 200_000, ms: Sequence[int] = (2, 3, 4, 5)) -> list[IdentitySpec]:
     """Both first-kind families over every n within the universe budget."""
-    return [
-        IdentitySpec(family, m=m, n=n)
-        for m in ms
-        for n in ns_within_budget(m, cap)
-        for family in ("thm1_1_eq1_6", "thm1_1_eq1_7")
-    ]
+    return _grid(("thm1_1_eq1_6", "thm1_1_eq1_7"), ms, lambda m: ns_within_budget(m, cap))
 
 
 def grid_theorem2(cap: int = 50_000, ms: Sequence[int] = (1, 2, 3)) -> list[IdentitySpec]:
     """Both second-kind families, every subset S, every n within budget."""
-    return [
-        IdentitySpec(family, m=m, n=n, S=subset)
-        for m in ms
-        for subset in all_position_subsets(m)
-        for n in ns_within_budget(m + 1, cap)
-        for family in ("thm1_2_eq5_1a", "thm1_2_eq5_1b")
-    ]
+    return _grid(("thm1_2_eq5_1a", "thm1_2_eq5_1b"), ms, lambda m: ns_within_budget(m + 1, cap),
+                 all_position_subsets)
 
 
 def grid_priors(cap: int = 50_000) -> list[IdentitySpec]:
     """The precursor identities: numeric, binomial, standard-hook, forest."""
-    grid = [IdentitySpec("postnikov", n=n) for n in range(1, 10)]
-    grid += [IdentitySpec("lascoux_1_1", n=n) for n in range(10)]
-    grid += [
-        IdentitySpec(family, m=m, n=n)
-        for m in (1, 2, 3)
-        for n in ns_within_budget(m + 1, cap)
-        for family in ("duliu_1_2a", "duliu_1_2b")
-    ]
-    grid += [
-        IdentitySpec(family, n=n)
-        for n in range(9)
-        for family in ("forest_1_3a", "forest_1_3b")
-    ]
-    return grid
+    return (
+        _grid(("postnikov",), (None,), lambda m: range(1, 10))
+        + _grid(("lascoux_1_1",), (None,), lambda m: range(10))
+        + _grid(("duliu_1_2a", "duliu_1_2b"), (1, 2, 3), lambda m: ns_within_budget(m + 1, cap))
+        + _grid(("forest_1_3a", "forest_1_3b"), (None,), lambda m: range(9))
+    )
 
 
 def grid_corollaries() -> list[IdentitySpec]:
     """The five special-value identities on their acceptance ranges."""
-    grid = [
-        IdentitySpec(family, m=m, n=n)
-        for m in (2, 3, 4)
-        for n in range(7)
-        for family in ("cor1_first", "cor1_second")
-    ]
-    grid += [
-        IdentitySpec(family, m=m, n=n, S=subset)
-        for m in (1, 2, 3)
-        for subset in all_position_subsets(m)
-        for n in range(6)
-        for family in ("cor2_first", "cor2_second")
-    ]
-    grid += [IdentitySpec("cor2_third", m=m, n=n) for m in (1, 2, 3) for n in range(6)]
-    return grid
+    return (
+        _grid(("cor1_first", "cor1_second"), (2, 3, 4), lambda m: range(7))
+        + _grid(("cor2_first", "cor2_second"), (1, 2, 3), lambda m: range(6), all_position_subsets)
+        + _grid(("cor2_third",), (1, 2, 3), lambda m: range(6))
+    )
 
 
 def default_grid() -> list[IdentitySpec]:

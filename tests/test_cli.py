@@ -256,6 +256,13 @@ PHI_333_JSON = json.dumps(
      for n, cs in enumerate(PHI_333_COEFFS)],
     indent=2,
 ) + "\n"
+COR2_THIRD_M0_ALL = ["verify", "--family", "cor2_third", "--m", "0", "--S", "all", "--n-max", "1"]
+# --S all on a full-set family is [1..m]: the empty set at m = 0, so "S" is [], not null.
+COR2_THIRD_M0_ALL_JSON = json.dumps(
+    [{"family": "cor2_third", "m": 0, "n": n, "S": [], "pass": False, "lhs": [], "rhs": [],
+      "trees_visited": 0, "elapsed_ms": 0} for n in (0, 1)],
+    indent=2,
+) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -378,11 +385,19 @@ PHI_333_JSON = json.dumps(
             "8,0 16 2454/7 163973/63 4398965/504 3649145/252 6022319/504 1142069/252 5434/9,"
             "0 16 2454/7 163973/63 4398965/504 3649145/252 6022319/504 1142069/252 5434/9,true\n",
         ),
+        (
+            COR2_THIRD_M0_ALL,
+            1,
+            "FAIL cor2_third m=0 n=0 S={} trees=0 lhs=- rhs=- note=cor2_third needs m >= 1, got 0\n"
+            "FAIL cor2_third m=0 n=1 S={} trees=0 lhs=- rhs=- note=cor2_third needs m >= 1, got 0\n"
+            "0/2 passed\n",
+        ),
+        (COR2_THIRD_M0_ALL + ["--format", "json"], 1, COR2_THIRD_M0_ALL_JSON),
     ],
     ids=["cor2_first-text", "cor2_first-json", "cor2_first-csv", "cor1_first-m1-text",
          "cor1_first-m1-csv", "phi-s2-text", "phi-s2-csv", "omega-csv",
          "eq1_6-csv", "eq5_1a-csv", "duliu_1_2a-csv", "phi-333-text", "phi-333-json",
-         "omega-23-csv"],
+         "omega-23-csv", "cor2_third-m0-all-text", "cor2_third-m0-all-json"],
 )
 def test_verify_and_series_output_is_pinned(capsys, argv, expected_code, expected):
     assert run(capsys, *argv) == (expected_code, expected, "")

@@ -1,5 +1,6 @@
 """Identity checks: left-side summations, closed forms, and the suite runner."""
 
+import hashlib
 import multiprocessing
 import subprocess
 import sys
@@ -228,6 +229,18 @@ def test_check_gf_relations_small():
         check_gf_relations(2, 3, 3)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_check_gf_relations_at_order_zero(m):
+    # Order 0 is the smallest truncation: each half holds only the constant 1,
+    # from one tree of each universe.  Order -1 is rejected.
+    for s in range(m + 1):
+        report = check_gf_relations(m, s, 0)
+        assert (report.lhs, report.rhs) == ((ONE, ONE), (ONE, ONE)), (m, s)
+        assert report.passed and report.trees_visited == 2, (m, s)
+        with pytest.raises(ValueError):
+            check_gf_relations(m, s, -1)
+
+
 @pytest.mark.parametrize("universe", ["A", "B"])
 def test_check_gf_relations_detects_a_corrupted_sum(monkeypatch, universe):
     # One enumerated coefficient (k = 3) off by 1.  In A, the S-universe series,
@@ -406,7 +419,7 @@ def test_verify_suite_equals_per_spec_checks_on_a_shuffled_grid(jobs):
     grid += [IdentitySpec("nope", n=1), IdentitySpec("thm1_1_eq1_6", m=1, n=2),
              IdentitySpec(["duliu_1_2a"], m=2, n=3), IdentitySpec("thm1_2_eq5_1a", m=2, n=3, S={"1", 2})]
     Random(jobs).shuffle(grid)
-    alone = [identities._run_one((spec, False)) for spec in grid]
+    alone = [identities._run_one(spec) for spec in grid]
     suite = verify_suite(grid, jobs=jobs).reports
     assert [replace(r, elapsed=0.0) for r in suite] == [replace(r, elapsed=0.0) for r in alone]
 
@@ -433,6 +446,28 @@ def test_default_grid_is_well_formed():
     grid = default_grid()
     assert all(spec.family in FAMILIES for spec in grid)
     assert len(grid) == len(set(grid))
+
+
+@pytest.mark.parametrize(
+    "build, size, digest",
+    [
+        (grid_theorem1, 72, "066b64d26bf37d76"),
+        (grid_theorem2, 228, "a1f02924ca2a791f"),
+        (grid_priors, 91, "a3644a3ba6ca2538"),
+        (grid_corollaries, 228, "3d930b4f20ce7bfa"),
+        (lambda: grid_theorem1(5000) + grid_priors(5000) + grid_corollaries(), 369, "781adf98597be9cc"),
+        (lambda: grid_theorem2(5000), 192, "75435abd90b113f5"),
+        (lambda: grid_theorem1(100, ms=(2, 3)), 22, "4b594ab30c4a2151"),
+    ],
+    ids=["theorem1", "theorem2", "priors", "corollaries", "bench-mixed", "bench-second-kind",
+         "theorem1-m23"],
+)
+def test_grid_specs_and_their_order_are_pinned(build, size, digest):
+    # Reports come back in grid order, so the order of the specs is part of the output.
+    rows = [(spec.family, spec.m, spec.n, None if spec.S is None else sorted(spec.S))
+            for spec in build()]
+    assert len(rows) == size
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 
 factors = st.one_of(
