@@ -36,12 +36,14 @@ identity checks is ``closed_phi`` at one (a, b, s), built by one loop, ``_phi``:
     rhs_product_poly("thm1_1_eq16", m, n)         (1-m, 1, m-1)     at x+1
     rhs_product_poly("thm1_2_eq51a", m, n, s)     (s-m-1, -1, m+1)  at x+1
 
-All values are immutable; every function is pure and thread-safe.
+All values are immutable (``PolySeries`` is a frozen dataclass, ``Poly``
+guards its one slot by hand); every function is pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -248,16 +250,15 @@ ONE = Poly([1])
 X = Poly([0, 1])
 
 
+@dataclass(frozen=True)
 class PolySeries:
     """Power series in t truncated at a fixed order, with Poly coefficients.
 
-    ``coeffs[n]`` is the coefficient of t**n; there are exactly
-    ``order + 1`` of them.  The product, and ``series_compose_scaled``,
+    ``coeffs[n]`` is the coefficient of t**n; ``__init__`` pads them to
+    exactly ``order + 1``.  The product, and ``series_compose_scaled``,
     require both operands to share the same truncation order and never
-    consult anything above it.
+    consult anything above it.  Equality and hashing read (order, coeffs).
     """
-
-    __slots__ = ("order", "coeffs")
 
     order: int
     coeffs: tuple[Poly, ...]
@@ -275,20 +276,6 @@ class PolySeries:
         polys.extend([ZERO] * (order + 1 - len(polys)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(polys))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolySeries is immutable")
-
-    def __reduce__(self):
-        return (PolySeries, (self.coeffs, self.order))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def _match(self, other: "PolySeries"):
         if self.order != other.order:

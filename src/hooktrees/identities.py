@@ -65,6 +65,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import combinations, repeat
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -258,21 +259,20 @@ def _validated(spec: IdentitySpec) -> IdentitySpec:
 
 
 # ---------------------------------------------------------------------------
-# Summation engine.  A tree's product of per-vertex factors depends only on
-# the multiset of its hook values, and a universe has few distinct multisets
-# (4,862 binary trees with 9 internal vertices have 95 standard-hook
-# multisets).  So each item is reduced to its sorted hook tuple and counted,
-# and ``algebra._exact_sum`` adds one product per distinct multiset, scaled by
-# its count.  In sorted order neighbouring multisets share prefixes, so the
+# Summation engine: count, then sum.  A tree's product of per-vertex factors
+# depends only on its hook multiset, and a universe has few (4,862 binary
+# trees with 9 internal vertices have 95 standard-hook multisets).  The count
+# step, ``_lhs``, counts the sorted hook tuples into a ``Counter``; the sum
+# step, ``_multiset_sum``, has ``algebra._exact_sum`` add one product per
+# multiset, scaled by its count.  Sorted neighbours share prefixes, so the
 # products are built on a stack of prefix products and a key multiplies only
 # from the first position where it differs from the key before it: the 489
 # first-kind multisets of those trees take 884 ``_times`` calls, not 4,401.
 # ---------------------------------------------------------------------------
 
 
-def _multiset_sum(universe, values_of, table) -> tuple[Poly, int]:
-    """The sum of the products of the (d, numerators) factors ``table[h]``, and the item count."""
-    counts = Counter(map(tuple, map(sorted, map(values_of, universe))))
+def _multiset_sum(counts: Counter, table) -> Poly:
+    """The sum step: the sum over ``counts`` of count * the product of the (d, numerators) ``table[h]``."""
     terms = []
     prefix = [(1, [1])]  # prefix[i]: the product of the first i factors of the last key
     last: tuple[int, ...] = ()
@@ -291,15 +291,7 @@ def _multiset_sum(universe, values_of, table) -> tuple[Poly, int]:
         count = counts[values]
         terms.append((den, [count * c for c in num]))
         last = values
-    return _exact_sum(terms), counts.total()
-
-
-def _hook_values(kind: str, S: frozenset[int] | None) -> Callable:
-    if kind == "first":
-        return first_kind_hooks
-    if kind == "second" and S:
-        return lambda t: second_kind_hooks(t, S)
-    return standard_hooks
+    return _exact_sum(terms)
 
 
 def _factor_table(row: Family, m: int | None, s: int, n: int) -> list[tuple[int, list[int]]]:
@@ -311,13 +303,22 @@ def _factor_table(row: Family, m: int | None, s: int, n: int) -> list[tuple[int,
 
 
 def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[Poly | Fraction, int]:
-    """The enumerated left side of ``family`` and the number of items summed.
+    """The count step, then the enumerated left side of ``family`` and the number of trees.
 
-    Performs no validation: callers check m, n and S first.
+    The spec's hook walk is picked once; hbb with an empty S is h.  Performs
+    no validation: callers check m, n and S first.
     """
     row = FAMILY_TABLE[family]
+    trees = enumerate_trees(row.arity(m), n)
+    if row.hooks == "first":
+        hooks = map(first_kind_hooks, trees)
+    elif row.hooks == "second" and S:
+        hooks = map(second_kind_hooks, trees, repeat(S))
+    else:
+        hooks = map(standard_hooks, trees)
+    counts = Counter(map(tuple, map(sorted, hooks)))
     table = _factor_table(row, m, len(S or ()), n)
-    total, visited = _multiset_sum(enumerate_trees(row.arity(m), n), _hook_values(row.hooks, S), table)
+    total = _multiset_sum(counts, table)
     if len(table[0][1]) == 1:
         # A numeric row is read at x = 0 so that a zero sum renders "0", not the zero
         # Poly's empty coefficient list: cor2_first, m = 2, S = {1,2}, n >= 1 sums to 0
@@ -325,7 +326,7 @@ def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[
         total = total(0)
     if row.scale is not None:
         total = row.scale(n) * total
-    return total, visited
+    return total, counts.total()
 
 
 def check_identity(spec: IdentitySpec, *, _corrupt_rhs: bool = False) -> VerificationReport:
@@ -502,10 +503,7 @@ def ns_within_budget(arity: int, cap: int) -> list[int]:
 
 def all_position_subsets(m: int) -> list[frozenset[int]]:
     """Every subset of {1..m}, smallest first, then lexicographic."""
-    subsets = [frozenset()]
-    for p in range(1, m + 1):
-        subsets += [s | {p} for s in subsets]
-    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
+    return [frozenset(c) for k in range(m + 1) for c in combinations(range(1, m + 1), k)]
 
 
 def _grid(families, ms, ns, subsets=lambda m: (None,)) -> list[IdentitySpec]:

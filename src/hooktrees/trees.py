@@ -246,7 +246,7 @@ def _children(m: int, comp: tuple[int, ...], start: int, small: list[list[Node]]
 PlaneNode = tuple
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class PlaneForest:
     """A linearly ordered sequence of plane trees.
 

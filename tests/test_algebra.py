@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hooktrees import algebra
 from hooktrees.algebra import (
     ONE,
     Poly,
@@ -30,11 +31,12 @@ from hooktrees.algebra import (
 from hooktrees.cli import coefficient_strings, render_reports
 from hooktrees.identities import (
     IdentitySpec,
+    VerificationReport,
     check_gf_relations,
     check_identity,
     check_recurrence_thm1_1,
 )
-from hooktrees.trees import count_trees
+from hooktrees.trees import LEAF, MAryTree, PlaneForest, count_trees
 
 half = Fraction(1, 2)
 
@@ -53,6 +55,18 @@ def test_poly_is_immutable_and_hashable():
         p.coeffs = ()
     assert Poly.__slots__ == ("pair",)
     assert hash(Poly([1, 2])) == hash(p)
+
+
+def test_value_types_raise_attribute_error_on_any_assignment():
+    spec = IdentitySpec("lascoux_1_1", n=1)
+    cases = [
+        (MAryTree(2, LEAF), "root"), (PlaneForest(((),)), "trees"), (Poly([1]), "pair"),
+        (PolySeries([1]), "coeffs"), (spec, "n"), (VerificationReport(spec, ONE, ONE, True, 1, 0.0), "passed"),
+    ]
+    for value, field in cases:
+        for name in (field, "vertex"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
 
 
 @given(st.one_of(st.integers(), st.fractions()))
@@ -571,6 +585,14 @@ def test_series_compose_scaled():
 
     one = PolySeries([1], order=2)
     assert series_compose_scaled(one, phi, 3) == one
+
+
+def test_series_compose_scaled_asks_for_no_coefficient_above_the_order(monkeypatch):
+    omega, phi = solve_phi(1, 1, 0, 6), solve_phi(1, 1, 1, 6)
+    asked, dot = [], algebra._dot
+    monkeypatch.setattr(algebra, "_dot", lambda a, b, ks, w=None: asked.extend(ks) or dot(a, b, ks, w))
+    assert series_compose_scaled(omega, phi, 1) == phi
+    assert max(asked) == 6
 
 
 def test_solve_omega_first_coefficients():

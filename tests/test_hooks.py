@@ -357,6 +357,14 @@ def test_hook_lists_are_fresh_and_positions_checked_per_arity():
         second_kind_hooks(decode("10000", 4), {3.0})
 
 
+def test_an_equal_new_position_set_keeps_the_mode_memo():
+    memos = []
+    for tree in enumerate_trees(3, 4):
+        second_kind_hooks(tree, {1})  # a new set on every call, equal to the last
+        memos.append(hooks._state[3])
+    assert memos[0] and all(memo is memos[0] for memo in memos)
+
+
 def _subsets(m):
     subs = [frozenset()]
     for p in range(1, m + 1):

@@ -4,6 +4,7 @@ import hashlib
 import multiprocessing
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -83,7 +84,8 @@ def test_forests_match_first_kind_via_bijection():
         assert row.scale is None and len(row.factor(None, 0, 1)) == 3
         for n in range(9):
             table = identities._factor_table(row, None, 0, n)
-            lhs, visited = identities._multiset_sum(enumerate_forests(n), forest_hooks, table)
+            counts = Counter(tuple(sorted(forest_hooks(f))) for f in enumerate_forests(n))
+            lhs, visited = identities._multiset_sum(counts, table), counts.total()
             report = check_identity(IdentitySpec(family, n=n))
             assert report.passed
             assert report.lhs == lhs and report.trees_visited == visited == count_trees(2, n)
@@ -507,7 +509,8 @@ def test_multiset_sums_equal_per_tree_sums(shape, kind, data):
         for k, c in enumerate(term):
             naive[k] += c
     table = [None] + [(d, c[::-1]) for *c, d in rows[1:]]
-    total, visited = identities._multiset_sum(universe(), values_of, table)
+    counts = Counter(tuple(sorted(values_of(item))) for item in universe())
+    total, visited = identities._multiset_sum(counts, table), counts.total()
     assert total == Poly(naive)
     assert visited == (count_trees(2, n) if kind == "forest" else count_trees(arity, n))
 

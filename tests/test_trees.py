@@ -141,6 +141,10 @@ def test_subtree_lists_are_kept_and_cut_to_the_current_cap(monkeypatch):
     assert trees._subtree_lists(2, 8) == [[LEAF]]
 
 
+def test_subtree_lists_stop_below_the_size_asked_for():
+    assert [len(level) for level in trees._subtree_lists(2, 5)] == [1, 1, 2, 5, 14]
+
+
 def test_enumeration_builds_no_tree_in_python():
     # Each tree is one tuple built in C: no constructor frame per tree.  Every
     # root composition here is made of listed sizes, so it streams through
