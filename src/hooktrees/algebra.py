@@ -8,18 +8,19 @@ variable t truncated at a fixed order, with ``Poly`` coefficients.  A
 ``Fraction`` coefficients, ``coeffs``, are built from the pair on each read,
 so only ``str`` and ``repr`` pay for them: evaluation, at a rational point or
 a Poly, runs Horner on the integer numerators, and
-``cli.coefficient_strings`` prints from the pair.  Every exact sum of
-products in the package goes through one kernel on pairs: ``_times``
-multiplies numerator lists and ``_exact_sum`` adds (d, numerator list)
-terms in one pass over the lcm of their d, handing the Poly the pair it
-already has.  ``_dot``, coefficient k of
-sum_j w_j*A_j*B_(k-j), is the one series step on it: series products,
-composition and ``_miller_step`` (Miller's power recurrence) call it on
-plain Poly lists.  ``_grow`` is the one root-decomposition recurrence,
-G_n = sum_j w_j*[t^j]G^e*G_(n-1-j), with three callers that feed it their
-weights: ``solve_phi``, and in ``identities`` ``check_recurrence_thm1_1``
-(the first-kind convolution) and ``check_gf_relations`` (the second-kind
-differential relation).
+``cli.coefficient_strings`` prints from the pair.  Poly arithmetic and the
+series steps share one kernel on pairs: ``_times`` multiplies numerator
+lists and ``_exact_sum`` adds (d, numerator list) terms in one pass over the
+lcm of their d, handing the Poly the pair it already has.  The enumerated
+sums do not use it: ``identities._multiset_sum`` evaluates them at one
+packed integer and hands ``_from_pair`` the coefficients.  ``_dot``,
+coefficient k of sum_j w_j*A_j*B_(k-j), is the one series step on the
+kernel: series products, composition and ``_miller_step`` (Miller's power
+recurrence) call it on plain Poly lists.  ``_grow`` is the one
+root-decomposition recurrence, G_n = sum_j w_j*[t^j]G^e*G_(n-1-j), with
+three callers that feed it their weights: ``solve_phi``, and in
+``identities`` ``check_recurrence_thm1_1`` (the first-kind convolution) and
+``check_gf_relations`` (the second-kind differential relation).
 
 On top of the two value types the module provides coefficient-recurrence
 solvers for two first-order series equations::

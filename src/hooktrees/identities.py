@@ -66,15 +66,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
+from operator import mul
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import (
     Poly,
     PolySeries,
-    _exact_sum,
+    _from_pair,
     _grow,
-    _times,
     rhs_binomial_poly,
     rhs_product_poly,
     series_compose_scaled,
@@ -261,37 +261,46 @@ def _validated(spec: IdentitySpec) -> IdentitySpec:
 # ---------------------------------------------------------------------------
 # Summation engine: count, then sum.  A tree's product of per-vertex factors
 # depends only on its hook multiset, and a universe has few (4,862 binary
-# trees with 9 internal vertices have 95 standard-hook multisets).  The count
+# trees with 9 internal vertices have 489 first-kind multisets).  The count
 # step, ``_lhs``, counts the sorted hook tuples into a ``Counter``; the sum
-# step, ``_multiset_sum``, has ``algebra._exact_sum`` add one product per
-# multiset, scaled by its count.  Sorted neighbours share prefixes, so the
-# products are built on a stack of prefix products and a key multiplies only
-# from the first position where it differs from the key before it: the 489
-# first-kind multisets of those trees take 884 ``_times`` calls, not 4,401.
+# step, ``_multiset_sum``, evaluates the sum at x = 2**bits (Kronecker
+# substitution): each factor is packed once into one int over the lcm L of
+# the denominators, a multiset's product is one ``math.prod`` in C, and the
+# coefficients, over L**n, are read back out once.
 # ---------------------------------------------------------------------------
 
 
 def _multiset_sum(counts: Counter, table) -> Poly:
-    """The sum step: the sum over ``counts`` of count * the product of the (d, numerators) ``table[h]``."""
-    terms = []
-    prefix = [(1, [1])]  # prefix[i]: the product of the first i factors of the last key
-    last: tuple[int, ...] = ()
-    for values in sorted(counts):
-        keep = 0
-        for h, g in zip(values, last):
-            if h != g:
-                break
-            keep += 1
-        del prefix[keep + 1 :]
-        den, num = prefix[-1]
-        for h in values[keep:]:
-            d, factor = table[h]
-            den, num = den * d, _times(num, factor)
-            prefix.append((den, num))
-        count = counts[values]
-        terms.append((den, [count * c for c in num]))
-        last = values
-    return _exact_sum(terms)
+    """The sum step: the sum over ``counts`` of count * the product of the (d, numerators) ``table[h]``.
+
+    All keys are one universe's multisets, of one length n; mixed lengths raise
+    ValueError.  Entry 0 of ``table`` is never read.  No coefficient exceeds
+    total * norm**n, norm the largest l1 norm of a factor over L; one more bit is the sign.
+    """
+    lengths = set(map(len, counts))
+    if len(lengths) > 1:
+        raise ValueError(f"hook multisets of mixed lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    rows = table[1:]
+    lcm = math.lcm(*[d for d, _ in rows])
+    norm = max([sum(map(abs, nums)) * abs(lcm // d) for d, nums in rows], default=0)
+    bits = (counts.total() * norm**n).bit_length() + 1
+    packed = [0]
+    for d, nums in rows:
+        value, scale = 0, lcm // d
+        for c in reversed(nums):
+            value = (value << bits) + c * scale
+        packed.append(value)
+    total = sum(map(mul, counts.values(), map(math.prod, map(map, repeat(packed.__getitem__), counts))))
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    for _ in range(n + 1):  # the factors are linear, so the sum has degree <= n
+        c = total & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        total = (total - c) >> bits
+    return _from_pair(lcm**n, out)
 
 
 def _factor_table(row: Family, m: int | None, s: int, n: int) -> list[tuple[int, list[int]]]:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hooktrees import hooks, identities
+from hooktrees.cli import coefficient_strings
 from hooktrees.algebra import ONE, Poly, X, rhs_binomial_poly, rhs_product_poly
 from hooktrees.hooks import first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks
 from hooktrees.identities import (
@@ -515,15 +516,77 @@ def test_multiset_sums_equal_per_tree_sums(shape, kind, data):
     assert visited == (count_trees(2, n) if kind == "forest" else count_trees(arity, n))
 
 
-def test_multiset_sum_multiplies_each_distinct_prefix_once(monkeypatch):
-    # Sorted hook multisets share prefixes, and each distinct non-empty prefix
-    # costs one product: 884 for the 489 multisets of these 4,862 trees.
-    keys = {tuple(sorted(first_kind_hooks(tree))) for tree in enumerate_trees(2, 9)}
-    prefixes = {key[:i] for key in keys for i in range(1, len(key) + 1)}
-    calls = []
-    times = identities._times
-    monkeypatch.setattr(identities, "_times", lambda a, b: calls.append(1) or times(a, b))
-    lhs, visited = identities._lhs("thm1_1_eq1_6", 2, 9, None)
+def test_multiset_sum_opens_no_python_call_per_multiset():
+    # Each product is one math.prod over packed ints, so the Python frames the sum
+    # step opens are per spec: n = 9 (489 multisets) opens exactly those of n = 7.
+    code = identities._multiset_sum.__code__
+
+    def traced(n):
+        inside, calls = [False], []
+
+        def profile(frame, event, arg):
+            if frame.f_code is code and event in ("call", "return"):
+                inside[0] = event == "call"
+            elif inside[0] and event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            lhs, visited = identities._lhs("thm1_1_eq1_6", 2, n, None)
+        finally:
+            sys.setprofile(None)
+        return lhs, visited, calls
+
+    lhs, visited, calls = traced(9)
     assert lhs == rhs_product_poly("thm1_1_eq16", 2, 9)
     assert visited == 4862
-    assert len(calls) == len(prefixes) == 884
+    assert calls == traced(7)[2]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 31, 63, 64, 65, 200])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_multiset_sum_decodes_a_coefficient_at_the_bound(k, sign):
+    # One factor of l1 norm 2**k: the bound is 2**k itself, so the coefficient needs
+    # every bit the kernel allots it, the sign bit included.
+    total = identities._multiset_sum(Counter({(1,): 1}), [None, (1, [sign * 2**k])])
+    assert total.pair == (1, (sign * 2**k,))
+
+
+wide = st.integers(-10**6, 10**6)
+wide_factors = st.one_of(
+    st.tuples(wide, wide, wide.filter(bool)),
+    st.tuples(wide, wide.filter(bool)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_multiset_sum_of_wide_tables_equals_a_fraction_sum(n, data):
+    # Arbitrary multisets of one length n over wide mixed rows, negative d
+    # included, with counts far past any universe's size.
+    rows = [None] + data.draw(st.lists(wide_factors, min_size=n, max_size=n))
+    keys = st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n).map(sorted).map(tuple)
+    counts = Counter(data.draw(st.dictionaries(keys, st.integers(1, 10**30), max_size=8)))
+    naive = [Fraction(0)] * (n + 1)
+    for key, count in counts.items():
+        term = [Fraction(count)]
+        for h in key:
+            c1, c0, d = rows[h] if len(rows[h]) == 3 else (0, *rows[h])
+            term = [(lo * c0 + hi * c1) / d for lo, hi in zip(term + [0], [0] + term)]
+        for i, c in enumerate(term):
+            naive[i] += c
+    table = [None] + [(d, c[::-1]) for *c, d in rows[1:]]
+    assert identities._multiset_sum(counts, table) == Poly(naive)
+
+
+def test_multiset_sum_rejects_keys_of_mixed_lengths():
+    table = identities._factor_table(FAMILY_TABLE["thm1_1_eq1_6"], 2, 0, 2)
+    with pytest.raises(ValueError, match="mixed lengths"):
+        identities._multiset_sum(Counter({(1,): 1, (1, 2): 1}), table)
+
+
+def test_zero_sum_renders_zero():
+    # cor2_first at m = 2, S = {1,2} sums to exactly 0 for n >= 1.
+    for n in range(1, 5):
+        report = check_identity(IdentitySpec("cor2_first", m=2, n=n, S={1, 2}))
+        assert report.passed and coefficient_strings(report.lhs) == ["0"]
