@@ -41,8 +41,8 @@ from .identities import (
 from .trees import DecodeError, count_trees, decode, enumerate_trees
 
 _COEFFICIENTS = {"type": "array", "items": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}}
-# A value is one coefficient list, or one per series coefficient for a tuple of Polys.
-_VALUE = {"anyOf": [_COEFFICIENTS, {"type": "array", "items": _COEFFICIENTS}]}
+# A value is one coefficient list, one per series coefficient of a tuple of Polys, or null if none.
+_VALUE = {"anyOf": [_COEFFICIENTS, {"type": "array", "items": _COEFFICIENTS}, {"type": "null"}]}
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -62,11 +62,11 @@ REPORT_SCHEMA = {
 }
 
 
-def coefficient_strings(value: Poly | Fraction | tuple | None) -> list:
+def coefficient_strings(value: Poly | Fraction | tuple | None) -> list | None:
     """A Poly or Fraction as exact coefficient strings, lowest degree first, a Poly's
-    read off its pair; a tuple of Polys as one such list per Poly."""
+    read off its pair; a tuple of Polys as one such list per Poly; None (no value) as None."""
     if value is None:
-        return []
+        return None
     if isinstance(value, tuple):
         return [coefficient_strings(p) for p in value]
     if isinstance(value, Fraction):

@@ -46,13 +46,13 @@ from .trees import _SHARED, MAryTree, PlaneForest, decode
 
 
 def _position_set(positions: Iterable[int], arity: int) -> frozenset[int]:
-    """Validate a prunable position set: a subset of {1, ..., arity-1}.
+    """The one check of a pruned position set, a subset of {1, ..., arity-1}; returns frozenset(positions).
 
-    The last child position is never prunable, so a nonempty tree always
-    survives its own pruning.  A ``bool`` is not a position, although True == 1.
+    The last position is never pruned, so a nonempty tree stays nonempty.  A ``bool`` is not a
+    position, though True == 1.  Checked in ``repr`` order, so an error names the same one every run.
     """
     s = frozenset(positions)
-    for p in s:
+    for p in sorted(s, key=repr):
         if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= arity - 1:
             raise ValueError(f"pruned position {p!r} is not an integer in 1..{arity - 1}")
     return s

@@ -80,7 +80,7 @@ from .algebra import (
     series_compose_scaled,
 )
 # Unused here: hookbench's tracer wraps enumerate_forests and forest_hooks as names of this module.
-from .hooks import first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks
+from .hooks import _position_set, first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks
 from .trees import count_trees, enumerate_forests, enumerate_trees
 
 
@@ -227,7 +227,7 @@ def _is_int(value) -> bool:
 
 
 def _validated(spec: IdentitySpec) -> IdentitySpec:
-    """Check parameter types and ranges against the family's row; fill in S."""
+    """Check n and m against the family's row, S with ``_position_set`` and the row's rule; fill in S."""
     f = spec.family
     row = FAMILY_TABLE.get(f) if isinstance(f, str) else None
     if row is None:
@@ -244,17 +244,10 @@ def _validated(spec: IdentitySpec) -> IdentitySpec:
         if spec.S is not None:
             raise ValueError(f"{f} does not take an S parameter")
         return spec
-    if not all(_is_int(p) for p in spec.S or ()):
-        raise ValueError(f"{f} needs integer positions in S, got {sorted(spec.S, key=repr)}")
     full = frozenset(range(1, spec.m + 1))
-    if row.S == "full":
-        s_set = full if spec.S is None else spec.S
-        if s_set != full:
-            raise ValueError(f"{f} requires S = [m], got {sorted(s_set)}")
-    else:
-        s_set = frozenset() if spec.S is None else spec.S
-        if not s_set <= full:
-            raise ValueError(f"S = {sorted(s_set)} is not a subset of [1..{spec.m}]")
+    s_set = _position_set((full if row.S == "full" else ()) if spec.S is None else spec.S, spec.m + 1)
+    if row.S == "full" and s_set != full:
+        raise ValueError(f"{f} requires S = [m], got {sorted(s_set)}")
     return replace(spec, S=s_set)
 
 

@@ -407,7 +407,7 @@ def test_coefficient_strings_edge_values():
         assert coefficient_strings(p) == [str(c) for c in p.coeffs]
     assert coefficient_strings(ZERO) == [] and coefficient_strings(Poly([0, 0, 5])) == ["0", "0", "5"]
     assert coefficient_strings(Poly([Fraction(6, 4), -half])) == ["3/2", "-1/2"]
-    assert coefficient_strings(Fraction(-6, 4)) == ["-3/2"] and coefficient_strings(None) == []
+    assert coefficient_strings(Fraction(-6, 4)) == ["-3/2"] and coefficient_strings(None) is None
     assert coefficient_strings((ONE, ZERO, -X)) == [["1"], [], ["0", "-1"]]
 
 

@@ -10,10 +10,12 @@ import sys
 import jsonschema
 import pytest
 
+from hooktrees.algebra import ZERO
 from hooktrees.cli import REPORT_SCHEMA, _build_parser, coefficient_strings, main, render_reports
 from hooktrees.identities import (
     FAMILIES,
     IdentitySpec,
+    VerificationReport,
     check_gf_relations,
     check_identity,
     check_recurrence_thm1_1,
@@ -259,7 +261,7 @@ PHI_333_JSON = json.dumps(
 COR2_THIRD_M0_ALL = ["verify", "--family", "cor2_third", "--m", "0", "--S", "all", "--n-max", "1"]
 # --S all on a full-set family is [1..m]: the empty set at m = 0, so "S" is [], not null.
 COR2_THIRD_M0_ALL_JSON = json.dumps(
-    [{"family": "cor2_third", "m": 0, "n": n, "S": [], "pass": False, "lhs": [], "rhs": [],
+    [{"family": "cor2_third", "m": 0, "n": n, "S": [], "pass": False, "lhs": None, "rhs": None,
       "trees_visited": 0, "elapsed_ms": 0} for n in (0, 1)],
     indent=2,
 ) + "\n"
@@ -401,6 +403,25 @@ COR2_THIRD_M0_ALL_JSON = json.dumps(
 )
 def test_verify_and_series_output_is_pinned(capsys, argv, expected_code, expected):
     assert run(capsys, *argv) == (expected_code, expected, "")
+
+
+def test_a_spec_that_could_not_run_is_null_in_json_and_unchanged_in_csv(capsys):
+    # A zero polynomial prints [] and a report with no value prints null.
+    code, out, _ = run(capsys, *COR2_THIRD_M0_ALL, "--format", "json")
+    for row in json.loads(out):
+        jsonschema.validate(row, REPORT_SCHEMA)
+    spec = IdentitySpec("thm1_1_eq1_6", m=2, n=1)
+    reports = [VerificationReport(spec, ZERO, ZERO, True, 1, 0.0)]
+    reports.append(VerificationReport(spec, None, None, False, 0, 0.0))
+    rows = json.loads(render_reports(reports, "json"))
+    assert [(row["lhs"], row["rhs"]) for row in rows] == [([], []), (None, None)]
+    assert run(capsys, *COR2_THIRD_M0_ALL, "--format", "csv") == (
+        1,
+        "family,m,n,S,pass,lhs,rhs,trees_visited,elapsed_ms\n"
+        "cor2_third,0,0,,false,,,0,0\n"
+        "cor2_third,0,1,,false,,,0,0\n",
+        "",
+    )
 
 
 def test_hooks_rejects_malformed_code(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import multiprocessing
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -365,6 +366,60 @@ def test_verify_suite_names_a_non_integer_n_or_m_as_a_type_error():
         (False, "postnikov needs an integer n, got 2.0"),
         (False, "thm1_1_eq1_6 needs an integer m, got True"),
     ]
+
+
+def _old_s_rule(row, m, S) -> bool:
+    """Whether S passed ``_validated`` before it called ``hooks._position_set``: integer
+    positions (no bools), all of [1..m] for a full-set row, a subset of it otherwise."""
+    if any(isinstance(p, bool) or not isinstance(p, int) for p in S or ()):
+        return False
+    full = frozenset(range(1, m + 1))
+    return S is None or (S == full if row.S == "full" else S <= full)
+
+
+S_FAMILIES = [family for family in FAMILIES if FAMILY_TABLE[family].S != "none"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(S_FAMILIES), st.integers(1, 4), st.data())
+def test_position_set_validates_s_as_the_old_rule_did(family, m, data):
+    row = FAMILY_TABLE[family]
+    positions = st.sampled_from([*range(-1, m + 2), True, 1.0, "1"])
+    S = data.draw(st.none() | st.lists(positions, max_size=m + 2).map(frozenset))
+    spec = IdentitySpec(family, m=m, n=row.min_n, S=S)
+    if not _old_s_rule(row, m, S):
+        with pytest.raises(ValueError):
+            identities._validated(spec)
+        return
+    valid = identities._validated(spec)
+    if S is None:
+        assert valid.S == (frozenset(range(1, m + 1)) if row.S == "full" else frozenset())
+    else:
+        assert valid.S is spec.S
+
+
+def test_a_bad_position_is_named_the_same_under_every_hash_seed():
+    # A set of strings iterates in an order that PYTHONHASHSEED picks.
+    src = str(Path(identities.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from hooktrees.hooks import second_kind_hooks\n"
+        "from hooktrees.identities import IdentitySpec, verify_suite\n"
+        "from hooktrees.trees import decode\n"
+        "try:\n"
+        "    second_kind_hooks(decode('1000', 3), {'a', 'b', 'c'})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print(verify_suite([IdentitySpec('thm1_2_eq5_1a', m=2, n=1, S={'a', 'b'})]).reports[0].note)\n"
+    )
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in "012"
+    }
+    assert outs == {"pruned position 'a' is not an integer in 1..2\n" * 2}
 
 
 def test_verify_suite_caps_the_worker_pool(monkeypatch):
