@@ -35,13 +35,28 @@ by value would hash a nested tuple, which recurses in C and crashes the
 interpreter on deep trees.  The memo serves one mode (arity, pruned
 positions, first) at a time.  An enumerated tree, one tuple built in C,
 whose root children all hit it costs the mode check, O(arity) lookups and
-one copy of its preorder list, always a fresh list.
+one copy of its preorder list, always a fresh list.  The identity checks
+walk only first-kind trees, so the memo serves them and the public
+``*_hooks`` calls.
+
+For the same reason a subtree's multiset of h or hbb values is fixed by its
+children's multisets and values.  ``_key_counts`` counts a whole universe's
+sorted hbb tuples (h tuples with nothing pruned) without building a tree:
+a tree's key is the product of p_hbb over its vertices, p_h the h-th prime,
+built from its root's hbb and its subtrees' keys.  The keys of each small
+enough subtree size are kept per mode (arity, pruned), grouped by hbb, under
+the same cap and lock as the subtree lists; larger sizes are streamed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from collections import Counter
+from itertools import chain, product, repeat
+from operator import mul
+from typing import Iterable, Iterator
 
+from . import trees
 from .trees import _SHARED, MAryTree, PlaneForest, decode
 
 
@@ -163,6 +178,105 @@ def forest_hooks(forest: PlaneForest) -> list[int]:
         else:
             out.append(1)
     return out
+
+
+# Per mode (arity, pruned), level k maps each hbb value to the keys of the
+# size-k subtrees with that hbb, and None to all of them.  Levels are built
+# under ``trees._LOCK`` while count_trees(arity, k) <= trees._SUBTREE_LIST_CAP.
+_KEY_LEVELS: dict[tuple[int, frozenset[int]], list[dict[int | None, list[int]]]] = {}
+# _PRIMES[h] is p_h, the h-th prime; entry 0 is unused.  Extended under the lock.
+_PRIMES = [1, 2]
+
+
+def _key_counts(arity: int, pruned: frozenset[int], n: int) -> Counter:
+    """The sorted hbb tuples of the arity-``arity`` trees with n internal vertices, counted.
+
+    With nothing pruned hbb is h.  Each distinct key is decoded once.  No
+    validation: ``pruned`` is a frozenset of positions in 1..arity-1.
+    """
+    if len(_PRIMES) <= n:
+        with trees._LOCK:
+            while len(_PRIMES) <= n:
+                c = _PRIMES[-1] + 1
+                while any(c % p == 0 for p in _PRIMES[1:]):
+                    c += 1
+                _PRIMES.append(c)
+    levels = _key_levels(arity, pruned, n)
+    counts = Counter()
+    for key, count in Counter(_keys(arity, pruned, levels, n)).items():
+        values, h = [], 0
+        while key > 1:
+            h += 1
+            while key % _PRIMES[h] == 0:
+                key //= _PRIMES[h]
+                values.append(h)
+        counts[tuple(values)] = count
+    return counts
+
+
+def _key_levels(arity: int, pruned: frozenset[int], n: int) -> list[dict[int | None, list[int]]]:
+    """The mode's key levels 0..k, for the largest k < n within the cap; as ``trees._subtree_lists``."""
+    levels = _KEY_LEVELS.setdefault((arity, pruned), [{0: [1], None: [1]}])  # a leaf: key 1, hbb 0
+    k = 1
+    while k < n and trees.count_trees(arity, k) <= trees._SUBTREE_LIST_CAP:
+        if k == len(levels):
+            with trees._LOCK:
+                if k == len(levels):
+                    levels.append(_key_level(arity, pruned, levels, k))
+        k += 1
+    return levels[:k]
+
+
+def _key_level(arity: int, pruned: frozenset[int], levels: list, k: int) -> dict[int | None, list[int]]:
+    """Level k, from the levels 0..k-1 in ``levels``."""
+    level: dict[int | None, list[int]] = {None: []}
+    for picks, h in _terms(arity, pruned, k):
+        keys = list(_products(_PRIMES[h], picks, arity, pruned, levels))
+        level.setdefault(h, []).extend(keys)
+        level[None] += keys
+    return level
+
+
+def _keys(arity: int, pruned: frozenset[int], levels: list, k: int, hbb: int | None = None) -> Iterable[int]:
+    """The keys of the size-k subtrees whose hbb is ``hbb``, or of all of them when it is None."""
+    if k < len(levels):
+        return levels[k][hbb]
+    return chain.from_iterable(_products(_PRIMES[h], picks, arity, pruned, levels)
+                               for picks, h in _terms(arity, pruned, k) if hbb in (None, h))
+
+
+def _terms(arity: int, pruned: frozenset[int], k: int) -> Iterator[tuple[tuple, int]]:
+    """Each root composition of k-1 with its picks, then the root's hbb.
+
+    A pick is (size, hbb) per position: a pruned position takes every subtree
+    of its size (hbb None) and adds nothing to the root, an unpruned one takes
+    the subtrees of one hbb value.  A size-c subtree has hbb 0 if c = 0, c if
+    nothing is pruned, and otherwise every value in 1..c: a spine of b
+    vertices down the last position, with the other c-b hung at a pruned
+    position of the root, has hbb b.
+    """
+    for comp in trees._compositions(k - 1, arity):
+        choices = []
+        for p, c in enumerate(comp, 1):
+            hbbs = (None,) if p in pruned else range(1, c + 1) if pruned and c else (c,)
+            choices.append([(c, b) for b in hbbs])
+        for picks in product(*choices):
+            yield picks, 1 + sum(b for _, b in picks if b)
+
+
+def _products(key: int, picks: tuple, arity: int, pruned: frozenset[int], levels: list) -> Iterator[int]:
+    """``key`` times one key per pick, for every choice of those keys.
+
+    Listed sizes multiply in ``product`` and ``math.prod``, in C, so a tree
+    costs no Python frame.  A streamed size is multiplied in C too, by each
+    product of the other picks in turn, so it is streamed once per product.
+    """
+    for i, (c, b) in enumerate(picks):
+        if c >= len(levels):
+            rest = _products(key, picks[:i] + picks[i + 1:], arity, pruned, levels)
+            return chain.from_iterable(map(mul, repeat(sub), _keys(arity, pruned, levels, c, b))
+                                       for sub in rest)
+    return map(mul, repeat(key), map(math.prod, product(*[levels[c][b] for c, b in picks])))
 
 
 def _split(tree: MAryTree, pruned: frozenset[int]) -> tuple[MAryTree, list[MAryTree]]:

@@ -79,8 +79,11 @@ from .algebra import (
     rhs_product_poly,
     series_compose_scaled,
 )
-# Unused here: hookbench's tracer wraps enumerate_forests and forest_hooks as names of this module.
-from .hooks import _position_set, first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks
+# Unused here: hookbench's tracer wraps enumerate_forests and the standard, second-kind and forest
+# hook walks as names of this module.
+from .hooks import (
+    _key_counts, _position_set, first_kind_hooks, forest_hooks, second_kind_hooks, standard_hooks,
+)
 from .trees import count_trees, enumerate_forests, enumerate_trees
 
 
@@ -255,8 +258,12 @@ def _validated(spec: IdentitySpec) -> IdentitySpec:
 # Summation engine: count, then sum.  A tree's product of per-vertex factors
 # depends only on its hook multiset, and a universe has few (4,862 binary
 # trees with 9 internal vertices have 489 first-kind multisets).  The count
-# step, ``_lhs``, counts the sorted hook tuples into a ``Counter``; the sum
-# step, ``_multiset_sum``, evaluates the sum at x = 2**bits (Kronecker
+# step, ``_lhs``, counts the sorted hook tuples into a ``Counter``.  For the
+# standard and second kinds, ``hooks._key_counts`` counts them from prime
+# keys built out of the subtrees' keys, with no tree built or walked.  The
+# first kind still walks every enumerated tree: ``hookbench``'s first-kind
+# test expects one ``first_kind_hooks`` call per tree.  The sum step,
+# ``_multiset_sum``, evaluates the sum at x = 2**bits (Kronecker
 # substitution): each factor is packed once into one int over the lcm L of
 # the denominators, a multiset's product is one ``math.prod`` in C, and the
 # coefficients, over L**n, are read back out once.
@@ -307,18 +314,15 @@ def _factor_table(row: Family, m: int | None, s: int, n: int) -> list[tuple[int,
 def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[Poly | Fraction, int]:
     """The count step, then the enumerated left side of ``family`` and the number of trees.
 
-    The spec's hook walk is picked once; hbb with an empty S is h.  Performs
-    no validation: callers check m, n and S first.
+    The standard and second kinds are counted by key, hbb with an empty S
+    being h; the first kind walks each enumerated tree.  Performs no
+    validation: callers check m, n and S first.
     """
     row = FAMILY_TABLE[family]
-    trees = enumerate_trees(row.arity(m), n)
     if row.hooks == "first":
-        hooks = map(first_kind_hooks, trees)
-    elif row.hooks == "second" and S:
-        hooks = map(second_kind_hooks, trees, repeat(S))
+        counts = Counter(map(tuple, map(sorted, map(first_kind_hooks, enumerate_trees(row.arity(m), n)))))
     else:
-        hooks = map(standard_hooks, trees)
-    counts = Counter(map(tuple, map(sorted, hooks)))
+        counts = _key_counts(row.arity(m), S or frozenset(), n)
     table = _factor_table(row, m, len(S or ()), n)
     total = _multiset_sum(counts, table)
     if len(table[0][1]) == 1:
@@ -466,7 +470,9 @@ def verify_suite(
     """Run ``check_identity`` over a grid, optionally across processes.
 
     Specs run grouped by hook mode (``_mode_key``), so a pass builds each
-    hook memo once and a pool worker's chunks share one.  The pool never
+    first-kind hook memo once and a pool worker's chunks share one; the key
+    levels of the standard and second kinds last for the process, built once
+    per mode and size.  The pool never
     has more workers than ``jobs``, the CPU count or the number of specs.
     Results are deterministic and independent of the worker count: exact
     arithmetic makes the reductions order-free and reports come back in

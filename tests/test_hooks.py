@@ -1,15 +1,20 @@
 """Hook statistics, pruning, and the skeleton/forest decomposition."""
 
+import json
+import os
+import subprocess
 import sys
 import threading
+from collections import Counter
 from itertools import islice
+from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hooktrees import hooks, trees
+from hooktrees import hooks, identities, trees
 from hooktrees.hooks import (
     compose,
     decompose,
@@ -507,3 +512,92 @@ def test_prune_decompose_compose_on_a_deep_comb():
     assert skeleton == prune(deep, {1}) == decode("10" * 3000 + "0", 2)
     assert forest == (MAryTree(3, one),) * 3000
     assert compose(skeleton, forest, {1}) == deep
+
+
+def _walked_counts(arity, pruned, n):
+    return Counter(tuple(sorted(second_kind_hooks(tree, pruned))) for tree in enumerate_trees(arity, n))
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 5])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_key_counts_equal_the_walked_counts(cap, data):
+    # With a small cap every larger size is streamed, not listed.
+    arity = data.draw(st.integers(1, 4))
+    pruned = data.draw(st.sampled_from(_subsets(arity - 1)))
+    n = data.draw(st.integers(0, 7))
+    walked = _walked_counts(arity, pruned, n)
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(trees, "_SUBTREE_LIST_CAP", cap)
+        assert hooks._key_counts(arity, pruned, n) == walked
+
+
+def test_key_counts_equal_the_walked_counts_on_the_default_grid():
+    universes = set()
+    for spec in map(identities._validated, identities.default_grid()):
+        row = identities.FAMILY_TABLE[spec.family]
+        if row.hooks != "first":
+            universes.add((row.arity(spec.m), spec.S or frozenset(), spec.n))
+    for arity, pruned, n in universes:
+        assert hooks._key_counts(arity, pruned, n) == _walked_counts(arity, pruned, n), (arity, pruned, n)
+
+
+def test_first_use_of_a_key_mode_in_threads_builds_each_level_once():
+    # Eight threads per mode make the first use of three second-kind modes at
+    # once, switching as often as possible.  The key levels are global to the
+    # process, so the check runs in a fresh one, and clears them between five
+    # rounds, because one round often runs without a race.
+    script = (
+        "import json, sys, threading\n"
+        "from collections import Counter\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "from hooktrees import hooks\n"
+        "from hooktrees.identities import IdentitySpec, check_identity\n"
+        "real = hooks._key_level\n"
+        "def build(arity, pruned, levels, k):\n"
+        "    builds[repr((arity, sorted(pruned), k))] += 1\n"
+        "    return real(arity, pruned, levels, k)\n"
+        "hooks._key_level = build\n"
+        "specs = [IdentitySpec('thm1_2_eq5_1a', m=1, n=10, S={1}), IdentitySpec('thm1_2_eq5_1b', m=2, n=7, S={2}),\n"
+        "         IdentitySpec('cor2_second', m=3, n=6, S={1, 3})]\n"
+        "rounds = []\n"
+        "for _ in range(5):\n"
+        "    hooks._KEY_LEVELS.clear()\n"
+        "    builds, reports, start = Counter(), [], threading.Barrier(24, timeout=60)\n"
+        "    threads = [threading.Thread(target=lambda s=s: (start.wait(), reports.append(check_identity(s))))\n"
+        "               for s in specs for _ in range(8)]\n"
+        "    for t in threads: t.start()\n"
+        "    for t in threads: t.join(timeout=120)\n"
+        "    rounds.append({\n"
+        "        'alive': sum(t.is_alive() for t in threads),\n"
+        "        'reports': sorted((r.spec.m, r.passed, r.trees_visited) for r in reports),\n"
+        "        'builds': builds,\n"
+        "        'levels': sorted((arity, sorted(pruned), [len(level[None]) for level in levels])\n"
+        "                         for (arity, pruned), levels in hooks._KEY_LEVELS.items()),\n"
+        "    })\n"
+        "print(json.dumps(rounds))\n"
+    )
+    src = str(Path(hooks.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    modes = [(2, [1], 10), (3, [2], 7), (4, [1, 3], 6)]
+    for got in json.loads(done.stdout):
+        assert got["alive"] == 0
+        assert got["reports"] == sorted([a - 1, True, count_trees(a, n)] for a, _, n in modes for _ in range(8))
+        assert got["builds"] == {repr((a, pruned, k)): 1 for a, pruned, n in modes for k in range(1, n)}
+        assert got["levels"] == [[a, pruned, [count_trees(a, k) for k in range(n)]] for a, pruned, n in modes]
+
+
+def test_stored_key_levels_stay_within_the_cap():
+    # count_trees(2, 10) = 16,796 and count_trees(2, 11) = 58,786 are above the
+    # cap, so a binary standard check at n = 12 streams those sizes for the call.
+    assert identities.check_identity(identities.IdentitySpec("duliu_1_2a", m=1, n=12)).passed
+    assert len(hooks._KEY_LEVELS[2, frozenset()]) == 10
+    for (arity, _), levels in hooks._KEY_LEVELS.items():
+        for k, level in enumerate(levels):
+            assert len(level[None]) == count_trees(arity, k) <= trees._SUBTREE_LIST_CAP

@@ -483,21 +483,34 @@ def test_verify_suite_equals_per_spec_checks_on_a_shuffled_grid(jobs):
 
 
 def test_verify_suite_validates_each_hook_mode_once(monkeypatch):
-    # Grouped by mode, a shuffled grid selects each hook memo once: the
-    # position check runs once per mode change, so once per mode.
+    # Grouped by mode, a shuffled grid selects each first-kind hook memo once:
+    # the walk's position check runs once per mode change, so once per mode.
+    # The standard and second kinds are counted by key: each of their modes
+    # builds each key level below its largest n once.
     grid = grid_theorem1(500) + grid_theorem2(500)
     Random(3).shuffle(grid)
-    modes = set()
+    first_modes, largest = set(), Counter()
     for spec in grid:
         row = FAMILY_TABLE[spec.family]
-        pruned = spec.S if row.hooks == "second" else frozenset()
-        modes.add((row.arity(spec.m), pruned, row.hooks == "first"))
-    checks = []
-    real = hooks._position_set
-    monkeypatch.setattr(hooks, "_position_set", lambda *args: checks.append(args) or real(*args))
+        if row.hooks == "first":
+            first_modes.add(row.arity(spec.m))
+        else:
+            mode = (row.arity(spec.m), spec.S or frozenset())
+            largest[mode] = max(largest[mode], spec.n)
+    checks, builds = [], Counter()
+    real_check, real_build = hooks._position_set, hooks._key_level
+    monkeypatch.setattr(hooks, "_position_set", lambda *args: checks.append(args) or real_check(*args))
     monkeypatch.setattr(hooks, "_state", (0, hooks._NO_POSITIONS, False, {}))
+
+    def build(arity, pruned, levels, k):
+        builds[arity, pruned, k] += 1
+        return real_build(arity, pruned, levels, k)
+
+    monkeypatch.setattr(hooks, "_key_level", build)
+    monkeypatch.setattr(hooks, "_KEY_LEVELS", {})
     assert verify_suite(grid).all_passed
-    assert len(checks) == len(modes)
+    assert len(checks) == len(first_modes)
+    assert builds == Counter({(*mode, k): 1 for mode, n in largest.items() for k in range(1, n)})
 
 
 def test_default_grid_is_well_formed():

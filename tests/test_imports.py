@@ -11,8 +11,8 @@ SOURCES = sorted(Path(hooktrees.__file__).parent.glob("*.py"))
 
 # Imported names a module keeps without using them itself.
 KEPT = {
-    # The benchmark's tracer wraps these two as names of ``identities``.
-    "identities.py": {"enumerate_forests", "forest_hooks"},
+    # The benchmark's tracer wraps these as names of ``identities``.
+    "identities.py": {"enumerate_forests", "forest_hooks", "standard_hooks", "second_kind_hooks"},
 }
 
 
