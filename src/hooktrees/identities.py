@@ -259,14 +259,15 @@ def _validated(spec: IdentitySpec) -> IdentitySpec:
 # depends only on its hook multiset, and a universe has few (4,862 binary
 # trees with 9 internal vertices have 489 first-kind multisets).  The count
 # step, ``_lhs``, counts the sorted hook tuples into a ``Counter``.  For the
-# standard and second kinds, ``hooks._key_counts`` counts them from prime
-# keys built out of the subtrees' keys, with no tree built or walked.  The
-# first kind still walks every enumerated tree: ``hookbench``'s first-kind
-# test expects one ``first_kind_hooks`` call per tree.  The sum step,
-# ``_multiset_sum``, evaluates the sum at x = 2**bits (Kronecker
-# substitution): each factor is packed once into one int over the lcm L of
-# the denominators, a multiset's product is one ``math.prod`` in C, and the
-# coefficients, over L**n, are read back out once.
+# standard and second kinds, ``hooks._key_counts`` counts them size by size
+# from the distinct prime keys of the subtrees and their multiplicities, with
+# no tree built or walked; a caller may hand it one level list per mode to
+# share between calls.  The first kind still walks every enumerated tree:
+# ``hookbench``'s first-kind test expects one ``first_kind_hooks`` call per
+# tree.  The sum step, ``_multiset_sum``, evaluates the sum at x = 2**bits
+# (Kronecker substitution): each factor is packed once into one int over the
+# lcm L of the denominators, a multiset's product is one ``math.prod`` in C,
+# and the coefficients, over L**n, are read back out once.
 # ---------------------------------------------------------------------------
 
 
@@ -311,18 +312,26 @@ def _factor_table(row: Family, m: int | None, s: int, n: int) -> list[tuple[int,
     return [(d, cs[::-1]) for *cs, d in (row.factor(m, s, h) for h in range(n + 1))]
 
 
-def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[Poly | Fraction, int]:
+def _lhs(
+    family: str, m: int | None, n: int, S: frozenset[int] | None, levels: dict | None = None
+) -> tuple[Poly | Fraction, int]:
     """The count step, then the enumerated left side of ``family`` and the number of trees.
 
     The standard and second kinds are counted by key, hbb with an empty S
-    being h; the first kind walks each enumerated tree.  Performs no
-    validation: callers check m, n and S first.
+    being h; the first kind walks each enumerated tree.  ``levels``, if
+    given, holds at most one entry {(arity, S): key levels}: a call of that
+    mode extends and reads its levels, a call of another mode replaces the
+    entry.  Performs no validation: callers check m, n and S first.
     """
     row = FAMILY_TABLE[family]
     if row.hooks == "first":
         counts = Counter(map(tuple, map(sorted, map(first_kind_hooks, enumerate_trees(row.arity(m), n)))))
     else:
-        counts = _key_counts(row.arity(m), S or frozenset(), n)
+        mode = (row.arity(m), S or frozenset())
+        if levels is not None and mode not in levels:
+            levels.clear()
+            levels[mode] = []
+        counts = _key_counts(*mode, n, None if levels is None else levels[mode])
     table = _factor_table(row, m, len(S or ()), n)
     total = _multiset_sum(counts, table)
     if len(table[0][1]) == 1:
@@ -335,17 +344,21 @@ def _lhs(family: str, m: int | None, n: int, S: frozenset[int] | None) -> tuple[
     return total, counts.total()
 
 
-def check_identity(spec: IdentitySpec, *, _corrupt_rhs: bool = False) -> VerificationReport:
+def check_identity(
+    spec: IdentitySpec, *, _corrupt_rhs: bool = False, _levels: dict | None = None
+) -> VerificationReport:
     """Verify one identity instance exactly.
 
     ``_corrupt_rhs`` is a test hook that perturbs the closed form by +1 so
     negative controls can confirm failures surface as ``passed=False``.
+    ``_levels`` is ``verify_suite``'s key-level memo, passed on to ``_lhs``;
+    a call without it keeps nothing.
     """
     spec = _validated(spec)
     start = perf_counter()
     row = FAMILY_TABLE[spec.family]
     m, n, s = spec.m, spec.n, len(spec.S or ())
-    lhs, visited = _lhs(spec.family, m, n, spec.S)
+    lhs, visited = _lhs(spec.family, m, n, spec.S, _levels)
     rhs = row.rhs(m, n, s)
     cross_ok = row.cross is None or rhs == row.cross(m, n, s)
     if _corrupt_rhs:
@@ -408,7 +421,8 @@ def check_gf_relations(m: int, s: int, order: int) -> VerificationReport:
     s_rep = frozenset(range(1, s + 1))
 
     def enumerated(m_: int, S: frozenset[int]) -> tuple[PolySeries, int]:
-        sums = [_lhs("thm1_2_eq5_1a", m_, k, S) for k in range(order + 1)]
+        levels: dict = {}  # one mode, so its key levels serve all order + 1 counts
+        sums = [_lhs("thm1_2_eq5_1a", m_, k, S, levels) for k in range(order + 1)]
         return PolySeries([poly for poly, _ in sums], order=order), sum(seen for _, seen in sums)
 
     (series_a, seen_a), (series_b, seen_b) = enumerated(m, s_rep), enumerated(m - s, frozenset())
@@ -444,9 +458,9 @@ class SuiteResult:
         return self.failed == 0
 
 
-def _run_one(spec: IdentitySpec, corrupt: bool = False) -> VerificationReport:
+def _run_one(spec: IdentitySpec, corrupt: bool = False, levels: dict | None = None) -> VerificationReport:
     try:
-        return check_identity(spec, _corrupt_rhs=corrupt)
+        return check_identity(spec, _corrupt_rhs=corrupt, _levels=levels)
     except ValueError as exc:
         note = str(exc)
     except Exception as exc:
@@ -455,7 +469,12 @@ def _run_one(spec: IdentitySpec, corrupt: bool = False) -> VerificationReport:
 
 
 def _mode_key(spec: IdentitySpec) -> tuple:
-    """The hook walk's mode of a spec, (arity, first, S), then n; invalid specs last."""
+    """The hook walk's mode of a spec, (arity, first, S), then n; invalid specs last.
+
+    Sorted by this key, the specs of one mode are adjacent, in increasing n,
+    so ``verify_suite``'s one-entry key-level memo builds each (mode, size)
+    level once.
+    """
     try:
         spec = _validated(spec)
     except Exception:
@@ -470,9 +489,10 @@ def verify_suite(
     """Run ``check_identity`` over a grid, optionally across processes.
 
     Specs run grouped by hook mode (``_mode_key``), so a pass builds each
-    first-kind hook memo once and a pool worker's chunks share one; the key
-    levels of the standard and second kinds last for the process, built once
-    per mode and size.  The pool never
+    first-kind hook memo once and a pool worker's chunks share one.  The
+    standard and second kinds share one key-level memo, which holds the
+    current mode's levels and lives for this call (for one chunk in a pool
+    worker), so each (mode, size) level is built once.  The pool never
     has more workers than ``jobs``, the CPU count or the number of specs.
     Results are deterministic and independent of the worker count: exact
     arithmetic makes the reductions order-free and reports come back in
@@ -484,7 +504,7 @@ def verify_suite(
     start = perf_counter()
     order = sorted(range(len(specs)), key=lambda i: _mode_key(specs[i]))
     ordered = [specs[i] for i in order]
-    run = partial(_run_one, corrupt=_corrupt_rhs)
+    run = partial(_run_one, corrupt=_corrupt_rhs, levels={})
     workers = min(jobs, os.cpu_count() or 1, len(specs))
     if workers > 1:
         import multiprocessing  # only here, so that importing the package skips it

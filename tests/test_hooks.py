@@ -1,13 +1,10 @@
 """Hook statistics, pruning, and the skeleton/forest decomposition."""
 
-import json
-import os
-import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from itertools import islice
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -518,19 +515,27 @@ def _walked_counts(arity, pruned, n):
     return Counter(tuple(sorted(second_kind_hooks(tree, pruned))) for tree in enumerate_trees(arity, n))
 
 
-@pytest.mark.parametrize("cap", [None, 0, 1, 5])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_key_counts_equal_the_walked_counts(cap, data):
-    # With a small cap every larger size is streamed, not listed.
+def test_key_counts_equal_the_walked_counts(data):
     arity = data.draw(st.integers(1, 4))
     pruned = data.draw(st.sampled_from(_subsets(arity - 1)))
     n = data.draw(st.integers(0, 7))
-    walked = _walked_counts(arity, pruned, n)
-    with pytest.MonkeyPatch.context() as patch:
-        if cap is not None:
-            patch.setattr(trees, "_SUBTREE_LIST_CAP", cap)
-        assert hooks._key_counts(arity, pruned, n) == walked
+    assert hooks._key_counts(arity, pruned, n) == _walked_counts(arity, pruned, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_shared_level_list_gives_the_fresh_counts(data):
+    # One list fed sizes that may go down: each call extends it to the largest
+    # n so far, reads level n, and counts as a call with levels of its own does.
+    arity = data.draw(st.integers(1, 4))
+    pruned = data.draw(st.sampled_from(_subsets(arity - 1)))
+    ns = data.draw(st.lists(st.integers(0, 10), min_size=1, max_size=6))
+    levels = []
+    for i, n in enumerate(ns):
+        assert hooks._key_counts(arity, pruned, n, levels) == hooks._key_counts(arity, pruned, n)
+        assert len(levels) == max(ns[: i + 1]) + 1
 
 
 def test_key_counts_equal_the_walked_counts_on_the_default_grid():
@@ -543,61 +548,66 @@ def test_key_counts_equal_the_walked_counts_on_the_default_grid():
         assert hooks._key_counts(arity, pruned, n) == _walked_counts(arity, pruned, n), (arity, pruned, n)
 
 
-def test_first_use_of_a_key_mode_in_threads_builds_each_level_once():
-    # Eight threads per mode make the first use of three second-kind modes at
-    # once, switching as often as possible.  The key levels are global to the
-    # process, so the check runs in a fresh one, and clears them between five
-    # rounds, because one round often runs without a race.
-    script = (
-        "import json, sys, threading\n"
-        "from collections import Counter\n"
-        "sys.setswitchinterval(1e-6)\n"
-        "from hooktrees import hooks\n"
-        "from hooktrees.identities import IdentitySpec, check_identity\n"
-        "real = hooks._key_level\n"
-        "def build(arity, pruned, levels, k):\n"
-        "    builds[repr((arity, sorted(pruned), k))] += 1\n"
-        "    return real(arity, pruned, levels, k)\n"
-        "hooks._key_level = build\n"
-        "specs = [IdentitySpec('thm1_2_eq5_1a', m=1, n=10, S={1}), IdentitySpec('thm1_2_eq5_1b', m=2, n=7, S={2}),\n"
-        "         IdentitySpec('cor2_second', m=3, n=6, S={1, 3})]\n"
-        "rounds = []\n"
-        "for _ in range(5):\n"
-        "    hooks._KEY_LEVELS.clear()\n"
-        "    builds, reports, start = Counter(), [], threading.Barrier(24, timeout=60)\n"
-        "    threads = [threading.Thread(target=lambda s=s: (start.wait(), reports.append(check_identity(s))))\n"
-        "               for s in specs for _ in range(8)]\n"
-        "    for t in threads: t.start()\n"
-        "    for t in threads: t.join(timeout=120)\n"
-        "    rounds.append({\n"
-        "        'alive': sum(t.is_alive() for t in threads),\n"
-        "        'reports': sorted((r.spec.m, r.passed, r.trees_visited) for r in reports),\n"
-        "        'builds': builds,\n"
-        "        'levels': sorted((arity, sorted(pruned), [len(level[None]) for level in levels])\n"
-        "                         for (arity, pruned), levels in hooks._KEY_LEVELS.items()),\n"
-        "    })\n"
-        "print(json.dumps(rounds))\n"
-    )
-    src = str(Path(hooks.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert done.returncode == 0, done.stderr
-    modes = [(2, [1], 10), (3, [2], 7), (4, [1, 3], 6)]
-    for got in json.loads(done.stdout):
-        assert got["alive"] == 0
-        assert got["reports"] == sorted([a - 1, True, count_trees(a, n)] for a, _, n in modes for _ in range(8))
-        assert got["builds"] == {repr((a, pruned, k)): 1 for a, pruned, n in modes for k in range(1, n)}
-        assert got["levels"] == [[a, pruned, [count_trees(a, k) for k in range(n)]] for a, pruned, n in modes]
+def test_key_counts_past_enumeration():
+    # 50,067,108 ternary trees with 12 internal vertices, counted by key.
+    assert hooks._key_counts(3, frozenset({1}), 12).total() == count_trees(3, 12) == 50_067_108
 
 
-def test_stored_key_levels_stay_within_the_cap():
-    # count_trees(2, 10) = 16,796 and count_trees(2, 11) = 58,786 are above the
-    # cap, so a binary standard check at n = 12 streams those sizes for the call.
-    assert identities.check_identity(identities.IdentitySpec("duliu_1_2a", m=1, n=12)).passed
-    assert len(hooks._KEY_LEVELS[2, frozenset()]) == 10
-    for (arity, _), levels in hooks._KEY_LEVELS.items():
-        for k, level in enumerate(levels):
-            assert len(level[None]) == count_trees(arity, k) <= trees._SUBTREE_LIST_CAP
+def test_suites_in_threads_match_a_serial_run():
+    # Eight threads at once, switching as often as possible, each run one
+    # shuffled second-kind grid of several modes: each suite's key levels are
+    # its own, so every thread's reports equal a serial run's.
+    grid = identities._grid(("thm1_2_eq5_1a", "thm1_2_eq5_1b", "cor2_second"), (1, 2, 3),
+                            lambda m: range(7 - m), identities.all_position_subsets)
+    Random(5).shuffle(grid)
+
+    def reports():
+        return [replace(r, elapsed=0.0) for r in identities.verify_suite(grid).reports]
+
+    serial = reports()
+    assert all(r.passed for r in serial)
+    got, start = [], threading.Barrier(8, timeout=60)
+    workers = [threading.Thread(target=lambda: (start.wait(), got.append(reports()))) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [serial] * 8
+
+
+def test_a_check_builds_every_level_and_keeps_no_key_state(monkeypatch):
+    # Back-to-back checks of one mode each build every key level 1..n: no
+    # levels outlive a check.  Afterwards ``hooks`` binds the same objects to
+    # the same names, and its one module-level container holds as much.
+    builds = Counter()
+    real = hooks._terms
+
+    def terms(arity, pruned, k):
+        builds[arity, pruned, k] += 1
+        return real(arity, pruned, k)
+
+    def containers():
+        return {name: len(value) for name, value in vars(hooks).items()
+                if name[:2] != "__" and isinstance(value, (list, dict, set))}
+
+    monkeypatch.setattr(hooks, "_terms", terms)
+    names = dict(vars(hooks))
+    # The only module-level container is the walk's ``trees._SHARED``.
+    held = containers()
+    assert held == {"_SHARED": len(trees._SHARED)}
+    for spec, mode in ((identities.IdentitySpec("duliu_1_2a", m=1, n=12), (2, frozenset())),
+                       (identities.IdentitySpec("thm1_2_eq5_1a", m=2, n=8, S={1}), (3, frozenset({1})))):
+        for _ in range(2):
+            builds.clear()
+            report = identities.check_identity(spec)
+            assert report.passed and report.trees_visited == count_trees(mode[0], spec.n)
+            assert builds == {(*mode, k): 1 for k in range(1, spec.n + 1)}
+            assert vars(hooks).keys() == names.keys()
+            assert all(vars(hooks)[name] is value for name, value in names.items())
+            assert containers() == held

@@ -253,8 +253,8 @@ def test_check_gf_relations_detects_a_corrupted_sum(monkeypatch, universe):
     for m, s in [(1, 1), (2, 1), (2, 2), (3, 2)]:
         target = (m, frozenset(range(1, s + 1))) if universe == "A" else (m - s, frozenset())
 
-        def corrupted(family, m_, n, S):
-            total, visited = lhs(family, m_, n, S)
+        def corrupted(family, m_, n, S, levels=None):
+            total, visited = lhs(family, m_, n, S, levels)
             return (total + 1 if (m_, S) == target and n == 3 else total), visited
 
         monkeypatch.setattr(identities, "_lhs", corrupted)
@@ -485,8 +485,9 @@ def test_verify_suite_equals_per_spec_checks_on_a_shuffled_grid(jobs):
 def test_verify_suite_validates_each_hook_mode_once(monkeypatch):
     # Grouped by mode, a shuffled grid selects each first-kind hook memo once:
     # the walk's position check runs once per mode change, so once per mode.
-    # The standard and second kinds are counted by key: each of their modes
-    # builds each key level below its largest n once.
+    # The standard and second kinds are counted by key: each suite builds
+    # each key level 1..(largest n) of each of their modes exactly once, and a
+    # second suite builds them all again.
     grid = grid_theorem1(500) + grid_theorem2(500)
     Random(3).shuffle(grid)
     first_modes, largest = set(), Counter()
@@ -498,19 +499,30 @@ def test_verify_suite_validates_each_hook_mode_once(monkeypatch):
             mode = (row.arity(spec.m), spec.S or frozenset())
             largest[mode] = max(largest[mode], spec.n)
     checks, builds = [], Counter()
-    real_check, real_build = hooks._position_set, hooks._key_level
+    real_check, real_terms = hooks._position_set, hooks._terms
     monkeypatch.setattr(hooks, "_position_set", lambda *args: checks.append(args) or real_check(*args))
-    monkeypatch.setattr(hooks, "_state", (0, hooks._NO_POSITIONS, False, {}))
 
-    def build(arity, pruned, levels, k):
+    def terms(arity, pruned, k):
         builds[arity, pruned, k] += 1
-        return real_build(arity, pruned, levels, k)
+        return real_terms(arity, pruned, k)
 
-    monkeypatch.setattr(hooks, "_key_level", build)
-    monkeypatch.setattr(hooks, "_KEY_LEVELS", {})
-    assert verify_suite(grid).all_passed
-    assert len(checks) == len(first_modes)
-    assert builds == Counter({(*mode, k): 1 for mode, n in largest.items() for k in range(1, n)})
+    monkeypatch.setattr(hooks, "_terms", terms)
+    for _ in range(2):
+        checks.clear()
+        builds.clear()
+        monkeypatch.setattr(hooks, "_state", (0, hooks._NO_POSITIONS, False, {}))
+        assert verify_suite(grid).all_passed
+        assert len(checks) == len(first_modes)
+        assert builds == Counter({(*mode, k): 1 for mode, n in largest.items() for k in range(1, n + 1)})
+
+
+@pytest.mark.parametrize("spec", [IdentitySpec("duliu_1_2a", m=1, n=16),
+                                  IdentitySpec("thm1_2_eq5_1a", m=1, n=16, S={1})], ids=["standard", "second"])
+def test_exhaustive_checks_past_enumeration(spec):
+    # 35,357,670 binary trees, summed exactly by their counted hook multisets.
+    report = check_identity(spec)
+    assert report.passed
+    assert report.trees_visited == count_trees(2, 16) == 35_357_670
 
 
 def test_default_grid_is_well_formed():
