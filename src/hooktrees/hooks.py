@@ -32,12 +32,13 @@ builds every tree of an arity from the same listed subtree objects.  So
 good (``trees._SHARED``): no such id is ever reused, so an entry pins no
 node, and the subtree lists bound the memo, so it is never cleared.  Keying
 by value would hash a nested tuple, which recurses in C and crashes the
-interpreter on deep trees.  The memo serves one mode (arity, pruned
-positions, first) at a time.  An enumerated tree, one tuple built in C,
-whose root children all hit it costs the mode check, O(arity) lookups and
-one copy of its preorder list, always a fresh list.  The identity checks
-walk only first-kind trees, so the memo serves them and the public
-``*_hooks`` calls.
+interpreter on deep trees.  The memo serves one mode (pruned positions,
+first) at a time, for every arity: a node is a tuple as long as its arity,
+so its values depend on it and the mode alone.  An enumerated tree, one
+tuple built in C, whose root children all hit it costs the mode check,
+O(arity) lookups and one copy of its preorder list, always a fresh list.
+The identity checks walk only first-kind trees, so the memo serves them
+and the public ``*_hooks`` calls.
 
 For the same reason a subtree's multiset of h or hbb values is fixed by its
 root's hbb and its children's multisets.  ``_key_counts`` counts a whole
@@ -73,8 +74,8 @@ def _position_set(positions: Iterable[int], arity: int) -> frozenset[int]:
 
 
 _NO_POSITIONS: frozenset[int] = frozenset()
-# The mode (arity, pruned, first) of the last tree walked and its memo.  A
-# new mode gets a new dict, so a walk in another thread keeps its own.
+# The arity, pruned positions and first of the last tree walked, and the memo of
+# (pruned, first).  A new (pruned, first) gets a new dict, so another thread keeps its own.
 _state: tuple[int, frozenset[int], bool, dict] = (0, _NO_POSITIONS, False, {})
 
 
@@ -84,17 +85,18 @@ def _walk(tree: MAryTree, positions: Iterable[int], first: bool) -> list[int]:
     A vertex's total is 1 plus the totals of its children at positions
     outside ``positions``; its slot holds that total, or with ``first`` the
     total less the last child's (``positions`` is then empty).  The walk
-    selects the mode's memo and validates the positions once per mode, not
-    once per tree.  One loop visits the vertices: memo hits and leaves are
-    taken in place, and a miss pushes (node, pos, total, slot) on ``parents``
-    and descends, so depth costs no recursion.  A finished non-root vertex
-    whose id is in ``_SHARED`` is memoized as (total, its preorder list).
+    validates the positions once per (arity, positions), not once per tree,
+    and keeps its memo while (positions, first) stay.  One loop visits the
+    vertices: memo hits and leaves are taken in place, and a miss pushes
+    (node, pos, total, slot) on ``parents`` and descends, so depth costs no
+    recursion.  A finished non-root vertex whose id is in ``_SHARED`` is
+    memoized as (total, its preorder list).
     """
     global _state
     arity, pruned, mode_first, memo = state = _state
     if tree.arity != arity or positions is not pruned or first is not mode_first:
         pruned = _position_set(positions, tree.arity)
-        if (tree.arity, pruned, first) != state[:3]:
+        if (pruned, first) != state[1:3]:
             memo = {}
         _state = (tree.arity, pruned, first, memo)
     node = tree.root

@@ -319,19 +319,16 @@ def _lhs(
 
     The standard and second kinds are counted by key, hbb with an empty S
     being h; the first kind walks each enumerated tree.  ``levels``, if
-    given, holds at most one entry {(arity, S): key levels}: a call of that
-    mode extends and reads its levels, a call of another mode replaces the
-    entry.  Performs no validation: callers check m, n and S first.
+    given, maps each mode (arity, S) to its key levels, which a call of that
+    mode extends and reads, so each (mode, size) level is built once in any
+    call order.  Performs no validation: callers check m, n and S first.
     """
     row = FAMILY_TABLE[family]
     if row.hooks == "first":
         counts = Counter(map(tuple, map(sorted, map(first_kind_hooks, enumerate_trees(row.arity(m), n)))))
     else:
         mode = (row.arity(m), S or frozenset())
-        if levels is not None and mode not in levels:
-            levels.clear()
-            levels[mode] = []
-        counts = _key_counts(*mode, n, None if levels is None else levels[mode])
+        counts = _key_counts(*mode, n, None if levels is None else levels.setdefault(mode, []))
     table = _factor_table(row, m, len(S or ()), n)
     total = _multiset_sum(counts, table)
     if len(table[0][1]) == 1:
@@ -351,8 +348,8 @@ def check_identity(
 
     ``_corrupt_rhs`` is a test hook that perturbs the closed form by +1 so
     negative controls can confirm failures surface as ``passed=False``.
-    ``_levels`` is ``verify_suite``'s key-level memo, passed on to ``_lhs``;
-    a call without it keeps nothing.
+    ``_levels`` is ``verify_suite``'s key-level memo, one level list per mode,
+    passed on to ``_lhs``; a call without it keeps nothing.
     """
     spec = _validated(spec)
     start = perf_counter()
@@ -419,9 +416,9 @@ def check_gf_relations(m: int, s: int, order: int) -> VerificationReport:
         raise ValueError(f"need order >= 0, got {order}")
     start = perf_counter()
     s_rep = frozenset(range(1, s + 1))
+    levels: dict = {}  # at s = 0 both series have one mode, so they share its key levels
 
     def enumerated(m_: int, S: frozenset[int]) -> tuple[PolySeries, int]:
-        levels: dict = {}  # one mode, so its key levels serve all order + 1 counts
         sums = [_lhs("thm1_2_eq5_1a", m_, k, S, levels) for k in range(order + 1)]
         return PolySeries([poly for poly, _ in sums], order=order), sum(seen for _, seen in sums)
 
@@ -468,53 +465,34 @@ def _run_one(spec: IdentitySpec, corrupt: bool = False, levels: dict | None = No
     return VerificationReport(spec, None, None, False, 0, 0.0, note=note)
 
 
-def _mode_key(spec: IdentitySpec) -> tuple:
-    """The hook walk's mode of a spec, (arity, first, S), then n; invalid specs last.
-
-    Sorted by this key, the specs of one mode are adjacent, in increasing n,
-    so ``verify_suite``'s one-entry key-level memo builds each (mode, size)
-    level once.
-    """
-    try:
-        spec = _validated(spec)
-    except Exception:
-        return (1,)
-    row = FAMILY_TABLE[spec.family]
-    return (0, row.arity(spec.m), row.hooks == "first", sorted(spec.S or ()), spec.n)
-
-
 def verify_suite(
     grid: Iterable[IdentitySpec], jobs: int = 1, _corrupt_rhs: bool = False
 ) -> SuiteResult:
     """Run ``check_identity`` over a grid, optionally across processes.
 
-    Specs run grouped by hook mode (``_mode_key``), so a pass builds each
-    first-kind hook memo once and a pool worker's chunks share one.  The
-    standard and second kinds share one key-level memo, which holds the
-    current mode's levels and lives for this call (for one chunk in a pool
-    worker), so each (mode, size) level is built once.  The pool never
-    has more workers than ``jobs``, the CPU count or the number of specs.
-    Results are deterministic and independent of the worker count: exact
-    arithmetic makes the reductions order-free and reports come back in
-    grid order.  A spec with invalid parameters yields a failed report
-    carrying the error text instead of aborting the run, and so does a
-    spec whose check raises any other exception (its note names the type).
+    Specs run in the order given.  The standard and second kinds share one
+    key-level memo, one level list per mode, which lives for this call (for
+    one chunk in a pool worker), so each (mode, size) level is built once.
+    The pool never has more workers than ``jobs``, the CPU count or the
+    number of specs.  Results are deterministic and independent of the
+    worker count: exact arithmetic makes the reductions order-free and
+    reports come back in grid order.  A spec with invalid parameters yields
+    a failed report carrying the error text instead of aborting the run,
+    and so does a spec whose check raises any other exception (its note
+    names the type).
     """
     specs = list(grid)
     start = perf_counter()
-    order = sorted(range(len(specs)), key=lambda i: _mode_key(specs[i]))
-    ordered = [specs[i] for i in order]
     run = partial(_run_one, corrupt=_corrupt_rhs, levels={})
     workers = min(jobs, os.cpu_count() or 1, len(specs))
     if workers > 1:
         import multiprocessing  # only here, so that importing the package skips it
 
         with multiprocessing.Pool(workers) as pool:
-            done = pool.map(run, ordered)
+            reports = pool.map(run, specs)
     else:
-        done = list(map(run, ordered))
-    reports = tuple(report for _, report in sorted(zip(order, done)))
-    return SuiteResult(reports, perf_counter() - start)
+        reports = list(map(run, specs))
+    return SuiteResult(tuple(reports), perf_counter() - start)
 
 
 def ns_within_budget(arity: int, cap: int) -> list[int]:

@@ -211,11 +211,13 @@ def test_hooks_stay_right_when_trees_are_dropped():
     [("standard", ()), ("first", ()), ("second", frozenset({1}))],
     ids=["standard", "first", "second"],
 )
-def test_memo_stays_bounded_over_a_streamed_universe(kind, positions):
+def test_memo_stays_bounded_over_a_streamed_universe(monkeypatch, kind, positions):
     # count_trees(2, 10) is above the cap, so n = 11 streams its size-10 subtrees,
     # and the root's children of that size miss the memo.  Every listed
-    # subtree of sizes 1..9 is met, and only those are memoized.
+    # subtree of sizes 1..9 is met, and only those are memoized.  The walk
+    # starts from a fresh memo: a mode's memo also holds other arities' nodes.
     assert count_trees(2, 10) > trees._SUBTREE_LIST_CAP
+    monkeypatch.setattr(hooks, "_state", (0, hooks._NO_POSITIONS, False, {}))
     for i, tree in enumerate(enumerate_trees(2, 11)):
         values = HOOKS[kind](tree, positions)
         if i % 5000 == 0:
@@ -252,16 +254,18 @@ def test_memos_never_hold_decoded_nodes():
 
 
 def test_hook_modes_in_threads_do_not_mix():
-    # More threads than cores, each in its own mode over one shared universe,
-    # switching often: a walk must never read another mode's memo.
-    universe = list(enumerate_trees(3, 5))
+    # More threads than cores, each in its own mode over one shared universe
+    # of two arities, switching often: a walk must never read another mode's
+    # memo.  Every mode but S = {2} walks both arities through one memo.
+    universe = list(enumerate_trees(3, 5)) + list(enumerate_trees(2, 6))
     modes = [("standard", ()), ("first", ())] + [("second", frozenset({p})) for p in (1, 2)]
-    expected = {mode: [oracle_hooks(tree, *mode) for tree in universe] for mode in modes}
+    walked = {mode: [tree for tree in universe if max(mode[1], default=0) < tree.arity] for mode in modes}
+    expected = {mode: [oracle_hooks(tree, *mode) for tree in walked[mode]] for mode in modes}
     wrong = []
 
     def work(kind, positions):
         for _ in range(4):
-            got = [HOOKS[kind](tree, positions) for tree in universe]
+            got = [HOOKS[kind](tree, positions) for tree in walked[kind, positions]]
             if got != expected[kind, positions]:
                 wrong.append(kind)
 
@@ -357,6 +361,23 @@ def test_hook_lists_are_fresh_and_positions_checked_per_arity():
         second_kind_hooks(decode("11000", 2), three)
     with pytest.raises(ValueError):
         second_kind_hooks(decode("10000", 4), {3.0})
+
+
+def test_one_memo_serves_every_arity_of_a_mode():
+    # First-kind walks over arity 2, then 3, then 2 again keep one memo and
+    # stay right.  A position set too large for a new arity raises before the
+    # walk touches its state, so the memo stays.
+    memos = []
+    for arity, n in ((2, 6), (3, 4), (2, 6)):
+        for tree in enumerate_trees(arity, n):
+            assert first_kind_hooks(tree) == oracle_hooks(tree, "first", ())
+            memos.append(hooks._state[3])
+    assert memos[0] and all(memo is memos[0] for memo in memos)
+    second_kind_hooks(next(enumerate_trees(4, 3)), {3})
+    memo = hooks._state[3]
+    with pytest.raises(ValueError):
+        second_kind_hooks(decode("11000", 2), {3})
+    assert hooks._state[3] is memo
 
 
 def test_an_equal_new_position_set_keeps_the_mode_memo():

@@ -245,6 +245,21 @@ def test_check_gf_relations_at_order_zero(m):
             check_gf_relations(m, s, -1)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_check_gf_relations_builds_each_key_level_once_at_s0(monkeypatch, m):
+    # At s = 0 both series sum one universe, so they share its key levels.
+    builds, real = Counter(), hooks._terms
+
+    def terms(arity, pruned, k):
+        builds[arity, pruned, k] += 1
+        return real(arity, pruned, k)
+
+    monkeypatch.setattr(hooks, "_terms", terms)
+    order = 5
+    assert check_gf_relations(m, 0, order).passed
+    assert builds == Counter({(m + 1, frozenset(), k): 1 for k in range(1, order + 1)})
+
+
 @pytest.mark.parametrize("universe", ["A", "B"])
 def test_check_gf_relations_detects_a_corrupted_sum(monkeypatch, universe):
     # One enumerated coefficient (k = 3) off by 1.  In A, the S-universe series,
@@ -483,37 +498,55 @@ def test_verify_suite_equals_per_spec_checks_on_a_shuffled_grid(jobs):
 
 
 def test_verify_suite_validates_each_hook_mode_once(monkeypatch):
-    # Grouped by mode, a shuffled grid selects each first-kind hook memo once:
-    # the walk's position check runs once per mode change, so once per mode.
-    # The standard and second kinds are counted by key: each suite builds
-    # each key level 1..(largest n) of each of their modes exactly once, and a
-    # second suite builds them all again.
+    # In any spec order, every first-kind walk of a suite uses one hook memo,
+    # whatever its arity.  The standard and second kinds are counted by key:
+    # each suite builds each key level 1..(largest n) of each of their modes
+    # exactly once, and a second suite builds them all again.
     grid = grid_theorem1(500) + grid_theorem2(500)
     Random(3).shuffle(grid)
-    first_modes, largest = set(), Counter()
+    largest = Counter()
     for spec in grid:
         row = FAMILY_TABLE[spec.family]
-        if row.hooks == "first":
-            first_modes.add(row.arity(spec.m))
-        else:
+        if row.hooks != "first":
             mode = (row.arity(spec.m), spec.S or frozenset())
             largest[mode] = max(largest[mode], spec.n)
-    checks, builds = [], Counter()
-    real_check, real_terms = hooks._position_set, hooks._terms
-    monkeypatch.setattr(hooks, "_position_set", lambda *args: checks.append(args) or real_check(*args))
+    memos, builds = {}, Counter()
+    real_walk, real_terms = identities.first_kind_hooks, hooks._terms
+
+    def walk(tree):
+        values = real_walk(tree)
+        memos[id(hooks._state[3])] = hooks._state[3]
+        return values
 
     def terms(arity, pruned, k):
         builds[arity, pruned, k] += 1
         return real_terms(arity, pruned, k)
 
+    monkeypatch.setattr(identities, "first_kind_hooks", walk)
     monkeypatch.setattr(hooks, "_terms", terms)
     for _ in range(2):
-        checks.clear()
+        memos.clear()
         builds.clear()
         monkeypatch.setattr(hooks, "_state", (0, hooks._NO_POSITIONS, False, {}))
         assert verify_suite(grid).all_passed
-        assert len(checks) == len(first_modes)
+        assert len(memos) == 1
         assert builds == Counter({(*mode, k): 1 for mode, n in largest.items() for k in range(1, n + 1)})
+
+
+def test_serial_verify_suite_checks_specs_in_grid_order(monkeypatch):
+    # A shuffled grid of every hook kind runs spec by spec as given, not
+    # grouped by mode or size.
+    grid = grid_theorem1(100) + grid_theorem2(100) + grid_priors(100)
+    Random(5).shuffle(grid)
+    seen, real = [], identities.check_identity
+
+    def check(spec, **kwargs):
+        seen.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(identities, "check_identity", check)
+    assert verify_suite(grid).all_passed
+    assert seen == grid
 
 
 @pytest.mark.parametrize("spec", [IdentitySpec("duliu_1_2a", m=1, n=16),
